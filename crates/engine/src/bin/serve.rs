@@ -12,8 +12,9 @@
 //! loses at most the un-acknowledged mutation and a restart over the
 //! same directory resumes with the exact same store. A TCP server
 //! drains gracefully on SIGTERM/SIGINT: in-flight requests finish, the
-//! WAL is fsynced, and a final snapshot is cut. A final statistics
-//! summary goes to stderr at exit.
+//! WAL is fsynced, and a final snapshot is cut. At exit the engine's
+//! cumulative metrics (what `{"op": "stats"}` answers) go to stderr as
+//! one JSON line.
 //!
 //! ```text
 //! $ echo '{"ontology": "A sub B", "query": "B", "abox": "A(ada)"}' | gomq-serve
@@ -128,9 +129,10 @@ with optional \"id\", optional \"limits\" ({\"max_rounds\", \"max_derived\",
 \"timeout_ms\"}; clamped by the session limits above) and, instead of
 \"abox\", a batched \"aboxes\": [\"<facts>\", ...] or \"session\": true to
 query the session store. Session mutations: {\"op\": \"assert\", \"abox\":
-...}, {\"op\": \"mark\"}, {\"op\": \"rollback\", \"mark\": N}. One JSON
-response per line; a blown limit answers {\"status\": \"overloaded\", ...},
-a quarantined plan {\"status\": \"quarantined\", ...}.
+...}, {\"op\": \"mark\"}, {\"op\": \"rollback\", \"mark\": N}; {\"op\":
+\"stats\"} returns the engine's cumulative metrics. One JSON response per
+line; a blown limit answers {\"status\": \"overloaded\", ...}, a
+quarantined plan {\"status\": \"quarantined\", ...}.
 ";
 
 fn usage_error(message: &str) -> ! {
@@ -384,7 +386,9 @@ fn main() {
         Some(addr) => serve_tcp(&addr, shared.clone(), net, repl),
         None => serve_stdin(shared.clone()),
     }
-    print_summary(&shared);
+    let mut totals = String::from("gomq-serve: stats ");
+    shared.stats().write_json(&mut totals);
+    eprintln!("{totals}");
 }
 
 /// Replication role flags forwarded into TCP mode.
@@ -480,59 +484,4 @@ fn serve_stdin(shared: Arc<ServeShared>) {
     if let Err(e) = shared.drain_persist() {
         eprintln!("gomq-serve: final session flush failed: {e}");
     }
-}
-
-fn print_summary(shared: &ServeShared) {
-    let stats = shared.engine().stats();
-    eprintln!(
-        "gomq-serve: {} requests, {} cache hits / {} misses, {} rounds, \
-         {} facts derived, compile {:?}, eval {:?}, {} cached plans \
-         ({} evicted, {} in-flight waits), {} overloaded, {} panics isolated, \
-         {} WAL records ({} bytes), {} snapshots, {} quarantined \
-         ({} breakers tripped), {} faults injected, {} conns accepted \
-         ({} refused), {} queue rejects, {} drains, {} maintained hits, \
-         {} views active ({} evicted), {} certificates ({} bytes), \
-         {} SQL answers, {} SQL refusals, {} repl frames shipped \
-         ({} bytes, {} snapshots), {} repl records applied, \
-         {} reconnects, {} promotions, {} write refusals ({} stale), \
-         lag {}",
-        stats.requests,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.rounds,
-        stats.derived,
-        stats.compile_time,
-        stats.eval_time,
-        stats.cache_size,
-        stats.cache_evictions,
-        stats.inflight_waits,
-        stats.overloaded,
-        stats.panics,
-        stats.wal_records,
-        stats.wal_bytes,
-        stats.snapshots,
-        stats.quarantined,
-        stats.breaker_trips,
-        stats.faults_injected,
-        stats.conns_accepted,
-        stats.conns_refused,
-        stats.queue_rejects,
-        stats.drains,
-        stats.ivm_maintained_hits,
-        stats.views_active,
-        stats.views_evicted,
-        stats.certs_emitted,
-        stats.cert_bytes,
-        stats.sql_compiles,
-        stats.sql_refusals,
-        stats.repl_frames_shipped,
-        stats.repl_bytes_shipped,
-        stats.repl_snapshots_shipped,
-        stats.repl_records_applied,
-        stats.repl_reconnects,
-        stats.repl_promotions,
-        stats.repl_write_refusals,
-        stats.repl_stale_refusals,
-        stats.repl_lag_lsn,
-    );
 }

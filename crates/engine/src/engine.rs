@@ -1,9 +1,9 @@
 //! The engine facade: cache + executor + statistics.
 
+use crate::backend::native::{eval_batch_budgeted, eval_strata_budgeted};
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
-use crate::exec::{eval_batch_budgeted, eval_strata_budgeted};
 use crate::plan::{EngineError, OmqPlan};
-use crate::stats::{EngineStats, RequestStats};
+use crate::stats::{EngineStats, Metrics, RequestStats};
 use gomq_core::{FactId, IndexedInstance, Instance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
@@ -35,7 +35,7 @@ pub type BatchAnswers = (Vec<BTreeSet<Vec<Term>>>, RequestStats);
 pub struct Engine {
     cache: PlanCache,
     threads: usize,
-    stats: Mutex<EngineStats>,
+    metrics: Metrics,
     /// Plan key → breaker state. A plan whose evaluation fails
     /// (panics or blows its budget) `quarantine_after` times is refused
     /// further evaluation ([`EngineError::Quarantined`]); the breaker is
@@ -70,7 +70,7 @@ impl Engine {
         Engine {
             cache,
             threads: threads.max(1),
-            stats: Mutex::new(EngineStats::default()),
+            metrics: Metrics::default(),
             breakers: Mutex::new(HashMap::new()),
             quarantine_after: AtomicU32::new(0),
         }
@@ -91,8 +91,7 @@ impl Engine {
         if !b.open {
             return None;
         }
-        let mut stats = lock_recover(&self.stats);
-        stats.quarantined = stats.quarantined.saturating_add(1);
+        self.metrics.quarantined.add(1);
         Some(b.failures)
     }
 
@@ -108,9 +107,7 @@ impl Engine {
         b.failures = b.failures.saturating_add(1);
         if !b.open && b.failures >= threshold {
             b.open = true;
-            drop(breakers);
-            let mut stats = lock_recover(&self.stats);
-            stats.breaker_trips = stats.breaker_trips.saturating_add(1);
+            self.metrics.breaker_trips.add(1);
             return true;
         }
         false
@@ -200,11 +197,11 @@ impl Engine {
                     store: eval_stats.store,
                     ..RequestStats::default()
                 };
-                lock_recover(&self.stats).absorb(&stats);
+                self.metrics.absorb(&stats);
                 Ok((answers, stats))
             }
             Err(e) => {
-                self.record_overloaded();
+                self.metrics.overloaded.add(1);
                 Err(EngineError::Overloaded(e))
             }
         }
@@ -228,7 +225,7 @@ impl Engine {
         let sql = match &plan.sql {
             Ok(sql) => sql,
             Err(e) => {
-                self.record_sql_refusal();
+                self.metrics.sql_refusals.add(1);
                 return Err(EngineError::NotSqlRewritable(e.clone()));
             }
         };
@@ -244,16 +241,13 @@ impl Engine {
                     answers: answers.len(),
                     ..RequestStats::default()
                 };
-                {
-                    let mut totals = lock_recover(&self.stats);
-                    totals.absorb(&stats);
-                    totals.sql_compiles = totals.sql_compiles.saturating_add(1);
-                }
+                self.metrics.absorb(&stats);
+                self.metrics.sql_compiles.add(1);
                 Ok((answers, stats))
             }
             Err(e) => {
                 if matches!(e, EngineError::Overloaded(_)) {
-                    self.record_overloaded();
+                    self.metrics.overloaded.add(1);
                 }
                 Err(e)
             }
@@ -278,7 +272,7 @@ impl Engine {
         snapshot: Option<(u64, u64)>,
     ) -> Result<(BTreeSet<Vec<Term>>, String, RequestStats), EngineError> {
         let (answers, cert, stats) = self.certified_eval(plan, abox, budget, vocab, snapshot)?;
-        lock_recover(&self.stats).absorb(&stats);
+        self.metrics.absorb(&stats);
         Ok((answers, cert, stats))
     }
 
@@ -297,7 +291,7 @@ impl Engine {
         let base_len = abox.len() as u32;
         let (total, derivs, eval_stats) =
             gomq_datalog::fixpoint_traced(&plan.program.rules, abox, budget).map_err(|e| {
-                self.record_overloaded();
+                self.metrics.overloaded.add(1);
                 EngineError::Overloaded(e)
             })?;
         let goal = plan.program.goal;
@@ -358,7 +352,7 @@ impl Engine {
             type_stats,
             ..RequestStats::default()
         };
-        lock_recover(&self.stats).absorb(&stats);
+        self.metrics.absorb(&stats);
         (answers, stats)
     }
 
@@ -396,7 +390,7 @@ impl Engine {
             cert_bytes: cert.len(),
             ..RequestStats::default()
         };
-        lock_recover(&self.stats).absorb(&stats);
+        self.metrics.absorb(&stats);
         Ok((answers, cert, stats))
     }
 
@@ -439,197 +433,34 @@ impl Engine {
                     stats.store.absorb(&es.store);
                     answers.push(ans);
                 }
-                lock_recover(&self.stats).absorb(&stats);
+                self.metrics.absorb(&stats);
                 Ok((answers, stats))
             }
             Err(e) => {
-                self.record_overloaded();
+                self.metrics.overloaded.add(1);
                 Err(EngineError::Overloaded(e))
             }
         }
     }
 
-    /// A snapshot of the cumulative statistics (cache counters included).
+    /// The live metrics table. Call sites bump fields directly, e.g.
+    /// `engine.metrics().panics.add(1)`.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// A snapshot of the cumulative statistics. The plan cache's own
+    /// counters and the fault layer's injection count are sampled into
+    /// their gauges first.
     pub fn stats(&self) -> EngineStats {
-        let mut snap = *lock_recover(&self.stats);
-        snap.cache_hits = self.cache.hits();
-        snap.cache_misses = self.cache.misses();
-        snap.cache_evictions = self.cache.evictions();
-        snap.inflight_waits = self.cache.inflight_waits();
-        snap.cache_size = self.cache.len() as u64;
-        snap.faults_injected = gomq_core::faults::injected();
-        snap
-    }
-
-    /// Folds externally measured compile time into the totals (used by
-    /// the serving layer, which times [`Engine::plan`] per request).
-    pub fn record_compile(&self, elapsed: std::time::Duration) {
-        let mut stats = lock_recover(&self.stats);
-        stats.compile_time = stats.compile_time.saturating_add(elapsed);
-    }
-
-    /// Records one isolated panic (caught by the serving layer's
-    /// `catch_unwind` fence).
-    pub fn record_panic(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.panics = stats.panics.saturating_add(1);
-    }
-
-    /// Records a request refused at admission or aborted mid-evaluation
-    /// because its budget was already (or became) exhausted.
-    pub fn record_overloaded(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.overloaded = stats.overloaded.saturating_add(1);
-    }
-
-    /// Records one SQL-backend request refused because the plan's
-    /// rewriting is recursive (`"status": "non-rewritable-to-sql"`).
-    pub fn record_sql_refusal(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.sql_refusals = stats.sql_refusals.saturating_add(1);
-    }
-
-    /// Records journaled WAL activity (records and frame bytes).
-    pub fn record_wal(&self, records: u64, bytes: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.wal_records = stats.wal_records.saturating_add(records);
-        stats.wal_bytes = stats.wal_bytes.saturating_add(bytes);
-    }
-
-    /// Records one snapshot written.
-    pub fn record_snapshot(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.snapshots = stats.snapshots.saturating_add(1);
-    }
-
-    /// Records one accepted network connection (bumps the cumulative
-    /// accept count and the active-connection gauge).
-    pub fn record_conn_open(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.conns_accepted = stats.conns_accepted.saturating_add(1);
-        stats.conns_active = stats.conns_active.saturating_add(1);
-    }
-
-    /// Records one closed network connection (decrements the gauge).
-    pub fn record_conn_close(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.conns_active = stats.conns_active.saturating_sub(1);
-    }
-
-    /// Records one connection refused at accept time (connection caps).
-    pub fn record_conn_refused(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.conns_refused = stats.conns_refused.saturating_add(1);
-    }
-
-    /// Samples the worker pool's queue depth (jobs queued or executing).
-    pub fn record_queue_depth(&self, depth: u64) {
-        lock_recover(&self.stats).queue_depth = depth;
-    }
-
-    /// Records one request refused because the worker queue was full.
-    pub fn record_queue_reject(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.queue_rejects = stats.queue_rejects.saturating_add(1);
-    }
-
-    /// Records one graceful drain initiated.
-    pub fn record_drain(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.drains = stats.drains.saturating_add(1);
-    }
-
-    /// Folds one request's statistics into the totals — used by the
-    /// serving layer for requests answered outside the engine's own
-    /// evaluation entry points (session queries served from or building
-    /// a maintained materialization).
-    pub fn record_request(&self, stats: &RequestStats) {
-        lock_recover(&self.stats).absorb(stats);
-    }
-
-    /// Samples the maintained-view registry: active views (gauge) and
-    /// cumulative LRU evictions (the registry's counter is
-    /// authoritative, so the total is overwritten, not added).
-    pub fn record_views(&self, active: u64, evicted: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.views_active = active;
-        stats.views_evicted = evicted;
-    }
-
-    /// Records view-maintenance work done outside a query (the eager
-    /// DRed pass a session rollback runs over every registered view).
-    pub fn record_ivm_maintenance(&self, deleted: u64, rederived: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.ivm_deleted = stats.ivm_deleted.saturating_add(deleted);
-        stats.ivm_rederived = stats.ivm_rederived.saturating_add(rederived);
-    }
-
-    /// Records record frames shipped to a replica (primary side).
-    pub fn record_repl_ship(&self, frames: u64, bytes: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_frames_shipped = stats.repl_frames_shipped.saturating_add(frames);
-        stats.repl_bytes_shipped = stats.repl_bytes_shipped.saturating_add(bytes);
-    }
-
-    /// Records one bootstrap snapshot shipped to a replica.
-    pub fn record_repl_snapshot_shipped(&self, bytes: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_snapshots_shipped = stats.repl_snapshots_shipped.saturating_add(1);
-        stats.repl_bytes_shipped = stats.repl_bytes_shipped.saturating_add(bytes);
-    }
-
-    /// Records one replicated record processed by a follower: `fresh`
-    /// is 1 unless the record was a duplicate re-shipped after a
-    /// reconnect; `lag` samples the lsn gap behind the primary.
-    pub fn record_repl_apply(&self, fresh: u64, bytes: u64, lag: u64) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_records_applied = stats.repl_records_applied.saturating_add(fresh);
-        stats.repl_bytes_applied = stats.repl_bytes_applied.saturating_add(bytes);
-        stats.repl_lag_lsn = lag;
-    }
-
-    /// Samples the follower's lsn lag behind the primary (gauge).
-    pub fn record_repl_lag(&self, lag: u64) {
-        lock_recover(&self.stats).repl_lag_lsn = lag;
-    }
-
-    /// Records one follower reconnect attempt after a dropped primary
-    /// connection.
-    pub fn record_repl_reconnect(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_reconnects = stats.repl_reconnects.saturating_add(1);
-    }
-
-    /// Records one promotion to primary.
-    pub fn record_repl_promotion(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_promotions = stats.repl_promotions.saturating_add(1);
-    }
-
-    /// Records one write refused for replication-role reasons
-    /// (`"read-only"` on a follower, `"fenced"` on a superseded
-    /// primary).
-    pub fn record_repl_write_refusal(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_write_refusals = stats.repl_write_refusals.saturating_add(1);
-    }
-
-    /// Records one replica read refused for exceeding the staleness
-    /// bound.
-    pub fn record_repl_stale_refusal(&self) {
-        let mut stats = lock_recover(&self.stats);
-        stats.repl_stale_refusals = stats.repl_stale_refusals.saturating_add(1);
-    }
-
-    /// Records what startup recovery rebuilt from the data directory.
-    pub fn record_recovery(&self, info: &crate::session::RecoveryInfo) {
-        let mut stats = lock_recover(&self.stats);
-        stats.recovered_records = stats
-            .recovered_records
-            .saturating_add(info.replayed_records);
-        stats.recovered_facts = stats
-            .recovered_facts
-            .saturating_add(info.snapshot_facts.saturating_add(info.replayed_facts));
+        let m = &self.metrics;
+        m.cache_hits.set(self.cache.hits());
+        m.cache_misses.set(self.cache.misses());
+        m.evictions.set(self.cache.evictions());
+        m.inflight_waits.set(self.cache.inflight_waits());
+        m.cache_size.set(self.cache.len() as u64);
+        m.faults_injected.set(gomq_core::faults::injected());
+        m.snapshot()
     }
 }
 
@@ -650,7 +481,7 @@ mod tests {
         let staff = v.find_rel("Staff").unwrap();
         let (plan, hit, d1) = engine.plan(&o, staff, &mut v);
         let plan = plan.unwrap();
-        engine.record_compile(d1);
+        engine.metrics().compile_ns.add_nanos(d1);
         assert!(!hit);
         let abox = parse_instance("Manager(ada)\nEmployee(grace)\n", &mut v).unwrap();
         let (answers, rs) = engine.answer(&plan, &abox);
@@ -672,7 +503,7 @@ mod tests {
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
-        assert!(snap.eval_time > std::time::Duration::ZERO);
+        assert!(snap.eval_ns > 0);
     }
 
     #[test]
@@ -701,7 +532,7 @@ mod tests {
         assert!(rs.type_stats.edges >= 1);
         let snap = engine.stats();
         assert_eq!(snap.typed_requests, 1);
-        assert_eq!(snap.type_stats.elements, 2);
+        assert_eq!(snap.type_elements, 2);
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //!   governed by a cooperative [`gomq_datalog::Budget`]), and
 //!   [`backend::sql`], which runs the plan's emitted portable SQL via
 //!   the dependency-free `gomq-sqlexec` executor (recursive plans are
-//!   refused with a typed status). [`exec`] re-exports the native path
-//!   under its historical name.
-//! * [`engine`] — the [`Engine`] facade tying cache, executor and
-//!   [`EngineStats`] together.
+//!   refused with a typed status).
+//! * [`engine`] — the [`Engine`] facade tying cache, executor and the
+//!   [`Metrics`] table together.
+//! * [`stats`] — per-request [`RequestStats`] and the engine's metrics,
+//!   declared once in one table and pulled with `{"op": "stats"}`.
 //! * [`serve`] + the `gomq-serve` binary — a JSONL stdin/stdout
 //!   protocol: one `{ontology, query, abox}` request per line (optional
 //!   per-request `"limits"`), one answer+stats response per line.
@@ -62,7 +63,6 @@ pub mod cache;
 pub mod certify;
 pub mod drain;
 pub mod engine;
-pub mod exec;
 pub mod faults;
 pub mod json;
 pub mod net;
@@ -73,15 +73,15 @@ pub mod session;
 pub mod stats;
 pub mod wal;
 
+pub use backend::native::{
+    eval_batch, eval_batch_budgeted, eval_plain, eval_program, eval_strata, eval_strata_budgeted,
+    Strata,
+};
 pub use backend::Backend;
 pub use cache::{PlanCache, PlanOutcome};
 pub use certify::{emit_certificate, CertSource, CertifyError};
 pub use drain::DrainToken;
 pub use engine::Engine;
-pub use exec::{
-    eval_batch, eval_batch_budgeted, eval_plain, eval_program, eval_strata, eval_strata_budgeted,
-    Strata,
-};
 pub use gomq_datalog::{Budget, BudgetExceeded, LimitKind};
 pub use net::{NetConfig, NetReport, NetServer};
 pub use plan::{EngineError, OmqPlan};
@@ -94,5 +94,5 @@ pub use session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, ViewMaintenance,
     ViewRegistry, DEFAULT_MAX_VIEWS,
 };
-pub use stats::{EngineStats, RequestStats};
+pub use stats::{EngineStats, Metrics, RequestStats};
 pub use wal::{SymFact, SymTerm, Wal, WalRecord};

@@ -149,7 +149,9 @@ impl NetServer {
                     accept_errors = 0;
                     if conns.try_admit(peer.ip(), &config) {
                         accepted += 1;
-                        shared.engine().record_conn_open();
+                        let m = shared.engine().metrics();
+                        m.conns_accepted.add(1);
+                        m.conns_active.add(1);
                         spawn_connection(
                             stream,
                             peer,
@@ -161,7 +163,7 @@ impl NetServer {
                         );
                     } else {
                         refused += 1;
-                        shared.engine().record_conn_refused();
+                        shared.engine().metrics().conns_refused.add(1);
                         refuse_connection(stream, config.max_conns);
                     }
                 }
@@ -400,7 +402,7 @@ impl Pool {
         }
         if inner.jobs.len() >= self.depth {
             drop(inner);
-            self.shared.engine().record_queue_reject();
+            self.shared.engine().metrics().queue_rejects.add(1);
             return Submit::Full;
         }
         let reply = Arc::new(Reply::default());
@@ -410,7 +412,7 @@ impl Pool {
         });
         let depth = (inner.jobs.len() + inner.executing) as u64;
         drop(inner);
-        self.shared.engine().record_queue_depth(depth);
+        self.shared.engine().metrics().queue_depth.set(depth);
         self.work.notify_one();
         Submit::Queued(reply)
     }
@@ -441,7 +443,7 @@ impl Pool {
                 inner.executing -= 1;
                 (inner.jobs.len() + inner.executing) as u64
             };
-            self.shared.engine().record_queue_depth(depth);
+            self.shared.engine().metrics().queue_depth.set(depth);
         }
     }
 }
@@ -493,13 +495,13 @@ fn spawn_connection(
         .name("gomq-conn".to_owned())
         .spawn(move || {
             run_connection(&stream, shared.clone(), &pool, &config, drain);
-            shared.engine().record_conn_close();
+            shared.engine().metrics().conns_active.sub(1);
             conns.release(peer.ip());
         });
     if spawned.is_err() {
         // Thread exhaustion: the closure never ran, so undo the
         // admission accounting the accept loop already recorded.
-        shared2.engine().record_conn_close();
+        shared2.engine().metrics().conns_active.sub(1);
         conns2.release(peer.ip());
     }
 }
@@ -667,7 +669,8 @@ mod tests {
         );
         assert!(r1.contains("\"status\": \"ok\""), "{r1}");
         assert!(r1.contains(r#"[["x"]]"#), "{r1}");
-        assert!(r1.contains("\"conns_accepted\": 2"), "{r1}");
+        let totals = request(&mut c1, r#"{"op": "stats"}"#);
+        assert!(totals.contains("\"conns_accepted\": 2"), "{totals}");
         // The second connection shares the plan cache.
         let r2 = request(
             &mut c2,

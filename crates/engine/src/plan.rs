@@ -16,7 +16,7 @@
 //! exponential in the signature); the whole point of the engine is to
 //! pay it once per distinct OMQ.
 
-use crate::exec::Strata;
+use crate::backend::native::Strata;
 use gomq_core::{RelId, Vocab};
 use gomq_datalog::Program;
 use gomq_logic::GfOntology;

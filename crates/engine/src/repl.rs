@@ -763,7 +763,9 @@ fn serve_replica(
             alive.store(false, Ordering::Release);
             return;
         }
-        shared.engine().record_repl_snapshot_shipped(size);
+        let m = shared.engine().metrics();
+        m.repl_snapshots_shipped.add(1);
+        m.repl_bytes_shipped.add(size);
         cursor = snap_lsn;
     }
 
@@ -788,7 +790,9 @@ fn serve_replica(
                     }
                     match write_msg(&mut writer, &ReplMsg::Record(frame)) {
                         Ok(n) => {
-                            shared.engine().record_repl_ship(1, n as u64);
+                            let m = shared.engine().metrics();
+                            m.repl_frames_shipped.add(1);
+                            m.repl_bytes_shipped.add(n as u64);
                             cursor = lsn;
                         }
                         Err(_) => {
@@ -852,7 +856,7 @@ pub fn promote(shared: &Arc<ServeShared>, reason: &str) -> Result<(u64, u64), Se
     };
     ctx.observe_epoch(epoch);
     ctx.set_role(Role::Primary);
-    shared.engine().record_repl_promotion();
+    shared.engine().metrics().repl_promotions.add(1);
     eprintln!("gomq-serve: repl: promoted to primary at epoch {epoch} (lsn {lsn}): {reason}");
     if let Some(addr) = ctx.fence_target() {
         let token = ctx.drain_token();
@@ -1074,7 +1078,7 @@ pub fn run_follower(shared: Arc<ServeShared>, cfg: FollowConfig, token: DrainTok
         if shared.repl().role() != Role::Follower || token.is_draining() {
             return;
         }
-        shared.engine().record_repl_reconnect();
+        shared.engine().metrics().repl_reconnects.add(1);
         if failures >= RECONNECT_ATTEMPTS {
             if cfg.promote_on_disconnect {
                 // Stamping the epoch journals one record; a transient
@@ -1162,29 +1166,27 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                         break end(progressed);
                     }
                 };
-                let applied = {
-                    let mut session = shared.session_lock();
-                    let mut vocab = shared.vocab_lock();
-                    let r = session.apply_replicated(lsn, &record, &mut vocab);
+                let applied = shared.replicate(|session, vocab| {
+                    let r = session.apply_replicated(lsn, &record, vocab);
                     if r.is_ok() && session.snapshot_due() {
-                        if let Err(e) = session.snapshot_now(&vocab) {
+                        if let Err(e) = session.snapshot_now(vocab) {
                             eprintln!("gomq-serve: repl: replica snapshot failed: {e}");
                         } else {
-                            shared.engine().record_snapshot();
+                            shared.engine().metrics().snapshots.add(1);
                         }
                     }
                     r
-                };
+                });
                 match applied {
                     Ok(fresh) => {
                         progressed = true;
                         shared.repl().note_primary_lsn(lsn);
                         let applied_lsn = shared.session_lock().position().0;
-                        shared.engine().record_repl_apply(
-                            u64::from(fresh),
-                            frame.len() as u64,
-                            shared.repl().primary_lsn().saturating_sub(applied_lsn),
-                        );
+                        let m = shared.engine().metrics();
+                        m.repl_records_applied.add(u64::from(fresh));
+                        m.repl_bytes_applied.add(frame.len() as u64);
+                        m.repl_lag_lsn
+                            .set(shared.repl().primary_lsn().saturating_sub(applied_lsn));
                         if write_msg(&mut stream, &ReplMsg::Ack(applied_lsn)).is_err() {
                             break end(progressed);
                         }
@@ -1221,18 +1223,17 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                 let applied = shared.session_lock().position().0;
                 shared
                     .engine()
-                    .record_repl_lag(shared.repl().primary_lsn().saturating_sub(applied));
+                    .metrics()
+                    .repl_lag_lsn
+                    .set(shared.repl().primary_lsn().saturating_sub(applied));
             }
             Ok(ReadOutcome::Msg(ReplMsg::Snapshot(bytes))) => {
                 // The primary pruned its retained log past our position
                 // while we were disconnected: re-bootstrap in place by
                 // installing the shipped snapshot over the live session
                 // and tail from its lsn.
-                let installed = {
-                    let mut session = shared.session_lock();
-                    let mut vocab = shared.vocab_lock();
-                    session.install_replicated_snapshot(&bytes, &mut vocab)
-                };
+                let installed = shared
+                    .replicate(|session, vocab| session.install_replicated_snapshot(&bytes, vocab));
                 match installed {
                     Ok((lsn, _epoch)) => {
                         eprintln!(

@@ -12,18 +12,24 @@
 //!  "limits": {"max_rounds": 1000, "max_derived": 100000, "timeout_ms": 250}}
 //! ```
 //!
-//! Successful response — `"stats"` is strictly request-scoped, the
-//! cumulative engine totals live under `"engine"`:
+//! Successful response — `"stats"` is strictly request-scoped:
 //!
 //! ```json
 //! {"id": "r1", "status": "ok", "cached": false, "zone": "Dichotomy (Datalog!= = PTIME)",
 //!  "fragment": "uGF", "backend": "native",
 //!  "answers": [["ada"], ["grace"]],
 //!  "stats": {"compile_us": 412, "eval_us": 88, "rounds": 3, "derived": 6,
-//!            "cache_hit": false},
+//!            "cache_hit": false, "maintained": false, "cert_bytes": 0}}
+//! ```
+//!
+//! The cumulative engine totals are pulled, not pushed: `{"op": "stats"}`
+//! answers with every metric of [`crate::stats`]' table, keys in table
+//! order (a read, so followers and fenced nodes answer it too):
+//!
+//! ```json
+//! {"id": "s", "status": "ok", "op": "stats",
 //!  "engine": {"requests": 1, "cache_hits": 0, "cache_misses": 1, "cache_size": 1,
-//!             "evictions": 0, "inflight_waits": 0, "overloaded": 0, "panics": 0,
-//!             "facts_interned": 9, "arena_bytes": 144, "dedup_hits": 2}}
+//!             "evictions": 0, "inflight_waits": 0, "overloaded": 0, "panics": 0, ...}}
 //! ```
 //!
 //! With `"aboxes": ["...", "..."]` the response carries `"batches"` (one
@@ -88,7 +94,7 @@ use crate::plan::{EngineError, OmqPlan};
 use crate::session::{
     DurableSession, MutationInfo, PersistOptions, RecoveryInfo, SessionError, DEFAULT_MAX_VIEWS,
 };
-use crate::stats::RequestStats;
+use crate::stats::{EngineStats, RequestStats};
 use crate::wal::SymFact;
 use gomq_core::{Fact, IndexedInstance, Term, Vocab};
 use gomq_datalog::{Budget, BudgetExceeded, LimitKind, Materialization};
@@ -283,7 +289,10 @@ impl ServeShared {
                     snapshot_every: config.snapshot_every,
                 };
                 let (s, info) = DurableSession::open(dir, opts, &mut vocab)?;
-                engine.record_recovery(&info);
+                let m = engine.metrics();
+                m.recovered_records.add(info.replayed_records);
+                m.recovered_facts
+                    .add(info.snapshot_facts.saturating_add(info.replayed_facts));
                 (s, Some(info))
             }
             None => (DurableSession::in_memory(), None),
@@ -329,6 +338,22 @@ impl ServeShared {
         &self.engine
     }
 
+    /// A snapshot of the engine's metrics with the session store's size
+    /// sampled in — what `{"op": "stats"}` renders.
+    pub fn stats(&self) -> EngineStats {
+        let facts = lock_recover(&self.session).len() as u64;
+        self.engine.metrics().session_facts.set(facts);
+        self.engine.stats()
+    }
+
+    /// Samples the view registry's gauges (called with the session lock
+    /// held, right after the registry changed).
+    fn sample_views(&self, session: &DurableSession) {
+        let m = self.engine.metrics();
+        m.views_active.set(session.views().len() as u64);
+        m.views_evicted.set(session.views().evicted());
+    }
+
     /// Replication state: role, observed epoch, staleness bound.
     pub fn repl(&self) -> &crate::repl::ReplContext {
         &self.repl
@@ -345,6 +370,52 @@ impl ServeShared {
         lock_recover(&self.vocab)
     }
 
+    /// Marks a request (or a replicated apply) as in flight; the first
+    /// of a burst records the constant floor to roll back to.
+    fn scope_enter(&self) {
+        let mut scope = lock_recover(&self.scope);
+        if scope.active == 0 {
+            scope.floor = lock_recover(&self.vocab).const_mark();
+        }
+        scope.active += 1;
+    }
+
+    /// Marks a request as done; the last request of a burst rolls back
+    /// every ABox constant the burst interned. (Rollback must wait for
+    /// quiescence: constants are shared across concurrent requests.)
+    fn scope_exit(&self) {
+        let mut scope = lock_recover(&self.scope);
+        scope.active -= 1;
+        if scope.active == 0 {
+            let floor = scope.floor;
+            lock_recover(&self.vocab).truncate_consts(floor);
+        }
+    }
+
+    /// Raises the burst's rollback floor to `mark`, keeping every
+    /// constant interned below it.
+    fn pin_consts(&self, mark: usize) {
+        let mut scope = lock_recover(&self.scope);
+        scope.floor = scope.floor.max(mark);
+    }
+
+    /// Runs a replicated mutation (session → vocab locks held) as an
+    /// in-flight request and then pins the constants it interned:
+    /// shipped facts are session data, so a read finishing meanwhile
+    /// must not truncate their names.
+    pub(crate) fn replicate<T>(&self, f: impl FnOnce(&mut DurableSession, &mut Vocab) -> T) -> T {
+        self.scope_enter();
+        let (out, mark) = {
+            let mut session = lock_recover(&self.session);
+            let mut vocab = lock_recover(&self.vocab);
+            let out = f(&mut session, &mut vocab);
+            (out, vocab.const_mark())
+        };
+        self.pin_consts(mark);
+        self.scope_exit();
+        out
+    }
+
     /// The configured request-line byte cap.
     pub fn max_line_bytes(&self) -> usize {
         self.max_line_bytes
@@ -356,7 +427,7 @@ impl ServeShared {
     /// Returns `Ok(false)` for in-memory sessions. Counts the drain (and
     /// the snapshot, when one was cut) in the engine totals.
     pub fn drain_persist(&self) -> Result<bool, SessionError> {
-        self.engine.record_drain();
+        self.engine.metrics().drains.add(1);
         // Primary drain flushes to replicas first: every journaled frame
         // must be acknowledged by every connected replica (bounded wait)
         // before the process lets go, so a drain-then-promote loses
@@ -379,7 +450,7 @@ impl ServeShared {
             session.drain(&vocab)
         };
         if result.is_ok() {
-            self.engine.record_snapshot();
+            self.engine.metrics().snapshots.add(1);
         }
         result.map(|()| true)
     }
@@ -441,12 +512,12 @@ impl ServeSession {
     /// whatever the input: malformed requests, resource blowups and
     /// panicking corner cases all come back as structured responses.
     pub fn handle_line(&mut self, line: &str) -> String {
-        self.scope_enter();
+        self.shared.scope_enter();
         let dispatched = catch_unwind(AssertUnwindSafe(|| self.dispatch(line)));
         let (id, outcome) = match dispatched {
             Ok(r) => r,
             Err(payload) => {
-                self.shared.engine.record_panic();
+                self.shared.engine.metrics().panics.add(1);
                 // The id is re-parsed: the panicking dispatch cannot
                 // hand it back.
                 let id = match json::parse(line) {
@@ -493,30 +564,8 @@ impl ServeSession {
                 out
             }
         };
-        self.scope_exit();
+        self.shared.scope_exit();
         out
-    }
-
-    /// Marks a request as in flight; the first request of a burst
-    /// records the constant floor to roll back to.
-    fn scope_enter(&self) {
-        let mut scope = lock_recover(&self.shared.scope);
-        if scope.active == 0 {
-            scope.floor = lock_recover(&self.shared.vocab).const_mark();
-        }
-        scope.active += 1;
-    }
-
-    /// Marks a request as done; the last request of a burst rolls back
-    /// every ABox constant the burst interned. (Rollback must wait for
-    /// quiescence: constants are shared across concurrent requests.)
-    fn scope_exit(&self) {
-        let mut scope = lock_recover(&self.shared.scope);
-        scope.active -= 1;
-        if scope.active == 0 {
-            let floor = scope.floor;
-            lock_recover(&self.shared.vocab).truncate_consts(floor);
-        }
     }
 
     fn dispatch(&mut self, line: &str) -> (Option<String>, Result<String, EngineError>) {
@@ -587,8 +636,9 @@ impl ServeSession {
                 Some("mark") => self.run_mark(id),
                 Some("rollback") => self.run_rollback(obj, id),
                 Some("promote") => self.run_promote(id),
+                Some("stats") => Ok(self.run_stats(id)),
                 Some(other) => Err(EngineError::BadRequest(format!(
-                    "unknown op \"{other}\" (expected query, assert, mark, rollback, promote)"
+                    "unknown op \"{other}\" (expected query, assert, mark, rollback, promote, stats)"
                 ))),
                 None => Err(EngineError::BadRequest("\"op\" must be a string".into())),
             },
@@ -663,7 +713,7 @@ impl ServeSession {
         // must not enter the executor at all — it would only burn a
         // worker to discover the same verdict.
         if budget.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.shared.engine.record_overloaded();
+            self.shared.engine.metrics().overloaded.add(1);
             return Err(EngineError::Overloaded(BudgetExceeded {
                 limit: LimitKind::Deadline,
                 rounds: 0,
@@ -684,11 +734,9 @@ impl ServeSession {
         };
         // The vocab lock is released before planning: the cache takes it
         // itself, and single-flight waiters must not hold it.
-        let (plan, cached, compile_elapsed) =
-            self.shared
-                .engine
-                .plan_shared(&o, query, &self.shared.vocab);
-        self.shared.engine.record_compile(compile_elapsed);
+        let engine = &self.shared.engine;
+        let (plan, cached, compile_elapsed) = engine.plan_shared(&o, query, &self.shared.vocab);
+        engine.metrics().compile_ns.add_nanos(compile_elapsed);
         let plan = plan?;
 
         // The session-resident store is answered on its own path: a
@@ -735,18 +783,17 @@ impl ServeSession {
         // breaker or the executor ever see the request.
         if backend == Backend::Sql {
             if let Err(e) = &plan.sql {
-                self.shared.engine.record_sql_refusal();
+                engine.metrics().sql_refusals.add(1);
                 return Err(EngineError::NotSqlRewritable(e.clone()));
             }
         }
         // Circuit breaker: a plan that keeps failing evaluation is
         // refused before it can burn another budget.
-        if let Some(n) = self.shared.engine.quarantine_reject(plan.key) {
+        if let Some(n) = engine.quarantine_reject(plan.key) {
             return Err(EngineError::Quarantined(n));
         }
         // Evaluate with failures (blown budgets and panics, not bad
         // requests) attributed to this plan's breaker.
-        let engine = &self.shared.engine;
         let evaluated = catch_unwind(AssertUnwindSafe(|| match &input {
             Input::One(abox) if want_cert => {
                 // Certified path: the traced fixpoint *is* the
@@ -856,7 +903,7 @@ impl ServeSession {
         if let Some(lag) = staleness {
             let bound = self.shared.repl().max_staleness();
             if lag > bound {
-                engine.record_repl_stale_refusal();
+                engine.metrics().repl_stale_refusals.add(1);
                 let mut out = String::from("{");
                 if let Some(id) = id {
                     out.push_str("\"id\": ");
@@ -883,7 +930,7 @@ impl ServeSession {
         // position is captured under the *same* hold, so the
         // certificate's snapshot binding names exactly the store state
         // the answer is computed over.
-        let (store, view, epoch, views_on, position, gauges) = {
+        let (store, view, epoch, views_on, position) = {
             let mut session = lock_recover(&self.shared.session);
             let store = session.share_store();
             let epoch = session.views().epoch();
@@ -895,23 +942,19 @@ impl ServeSession {
             // it (a counted drop) and rebuild with recording on; from
             // then on the session pays the recording overhead only
             // because it asked for certificates.
-            let mut gauges = None;
             if want_cert && view.as_ref().is_some_and(|v| !v.is_recording()) {
                 view = None;
                 session.views_mut().note_dropped(1);
-                gauges = Some((session.views().len() as u64, session.views().evicted()));
+                self.shared.sample_views(&session);
             }
-            (store, view, epoch, views_on, position, gauges)
+            (store, view, epoch, views_on, position)
         };
-        if let Some((active, evicted)) = gauges {
-            engine.record_views(active, evicted);
-        }
         let had_view = view.is_some();
         let t0 = Instant::now();
         let evaluated = catch_unwind(AssertUnwindSafe(
             || -> Result<(String, RequestStats), EngineError> {
                 let overloaded = |e: BudgetExceeded| {
-                    engine.record_overloaded();
+                    engine.metrics().overloaded.add(1);
                     EngineError::Overloaded(e)
                 };
                 let (answers, cert, stats) = match view {
@@ -936,7 +979,7 @@ impl ServeSession {
                             cert_bytes: cert.as_ref().map_or(0, String::len),
                             ..RequestStats::default()
                         };
-                        engine.record_request(&stats);
+                        engine.metrics().absorb(&stats);
                         self.put_view(plan.key, view, epoch);
                         (answers, cert, stats)
                     }
@@ -975,7 +1018,7 @@ impl ServeSession {
                             cert_bytes: cert.as_ref().map_or(0, String::len),
                             ..RequestStats::default()
                         };
-                        engine.record_request(&stats);
+                        engine.metrics().absorb(&stats);
                         self.put_view(plan.key, view, epoch);
                         (answers, cert, stats)
                     }
@@ -1078,12 +1121,9 @@ impl ServeSession {
     /// certificate-assembly error consumed it): bumps the drop counter
     /// and resamples the gauges into the engine totals.
     fn note_view_dropped(&self) {
-        let (active, evicted) = {
-            let mut session = lock_recover(&self.shared.session);
-            session.views_mut().note_dropped(1);
-            (session.views().len() as u64, session.views().evicted())
-        };
-        self.shared.engine.record_views(active, evicted);
+        let mut session = lock_recover(&self.shared.session);
+        session.views_mut().note_dropped(1);
+        self.shared.sample_views(&session);
     }
 
     /// Re-registers a checked-out (or freshly built) view and samples
@@ -1091,16 +1131,13 @@ impl ServeSession {
     /// rollback raced this request) drops the view instead — the next
     /// query rebuilds from the rolled-back store.
     fn put_view(&self, key: u64, view: Materialization, epoch: u64) {
-        let (active, evicted) = {
-            let mut session = lock_recover(&self.shared.session);
-            session.views_mut().put(key, view, epoch);
-            (session.views().len() as u64, session.views().evicted())
-        };
-        self.shared.engine.record_views(active, evicted);
+        let mut session = lock_recover(&self.shared.session);
+        session.views_mut().put(key, view, epoch);
+        self.shared.sample_views(&session);
     }
 
-    /// The common `{"id": ..., "status": "ok", ..., "stats": ...,
-    /// "engine": ...}` response of both query paths.
+    /// The common `{"id": ..., "status": "ok", ..., "stats": ...}`
+    /// response of both query paths.
     #[allow(clippy::too_many_arguments)]
     fn query_response(
         &self,
@@ -1144,7 +1181,6 @@ impl ServeSession {
             stats.maintained,
             stats.cert_bytes,
         );
-        self.engine_block(&mut out);
         out.push('}');
         out
     }
@@ -1171,7 +1207,7 @@ impl ServeSession {
                 ),
             ),
         };
-        self.shared.engine.record_repl_write_refusal();
+        self.shared.engine.metrics().repl_write_refusals.add(1);
         let mut out = String::from("{");
         if let Some(id) = id {
             out.push_str("\"id\": ");
@@ -1206,9 +1242,18 @@ impl ServeSession {
             .map_err(|e| EngineError::Internal(format!("promotion: {e}")))?;
         let mut out = self.mutation_head(id, "promote");
         let _ = write!(out, "\"epoch\": {epoch}, \"lsn\": {lsn}");
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
+    }
+
+    /// Handles `{"op": "stats"}`: the engine's cumulative metrics under
+    /// `"engine"`, keys in table order.
+    fn run_stats(&self, id: Option<&str>) -> String {
+        let mut out = self.mutation_head(id, "stats");
+        out.push_str("\"engine\": ");
+        self.shared.stats().write_json(&mut out);
+        out.push('}');
+        out
     }
 
     /// Handles `{"op": "assert", "abox": "..."}`: journal the batch to
@@ -1239,13 +1284,9 @@ impl ServeSession {
                 .collect();
             (facts, syms, vocab.const_mark())
         };
-        // Session constants are durable: raise the burst's rollback
-        // floor so scope_exit never truncates names the session store
-        // still references.
-        {
-            let mut scope = lock_recover(&self.shared.scope);
-            scope.floor = scope.floor.max(const_floor);
-        }
+        // Session constants are durable: scope_exit must never truncate
+        // names the session store still references.
+        self.shared.pin_consts(const_floor);
         let (info, snapshotted) = {
             let mut session = lock_recover(&self.shared.session);
             let info = session.assert(syms, &facts)?;
@@ -1258,7 +1299,6 @@ impl ServeSession {
             "\"added\": {}, \"facts\": {}, \"lsn\": {}, \"snapshotted\": {snapshotted}",
             info.added, info.facts, info.lsn
         );
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
     }
@@ -1280,7 +1320,6 @@ impl ServeSession {
             "\"mark\": {mark}, \"facts\": {}, \"lsn\": {}, \"snapshotted\": {snapshotted}",
             info.facts, info.lsn
         );
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
     }
@@ -1302,7 +1341,7 @@ impl ServeSession {
                 ))
             }
         };
-        let (info, snapshotted, maint, active, evicted) = {
+        let (info, snapshotted, maint) = {
             let mut session = lock_recover(&self.shared.session);
             let info = session.rollback(mark)?;
             // Maintain registered views eagerly, inside the lock: lazy
@@ -1312,24 +1351,20 @@ impl ServeSession {
             // dropped; the next query rebuilds it.
             let budget = self.limits.budget_from_now();
             let maint = session.maintain_views_rollback(info.facts as usize, &budget);
-            let (active, evicted) = (session.views().len() as u64, session.views().evicted());
+            self.shared.sample_views(&session);
             let snapshotted = self.finish_mutation(&mut session, &info);
-            (info, snapshotted, maint, active, evicted)
+            (info, snapshotted, maint)
         };
-        self.shared
-            .engine
-            .record_ivm_maintenance(maint.deleted, maint.rederived);
-        for _ in 0..maint.panicked {
-            self.shared.engine.record_panic();
-        }
-        self.shared.engine.record_views(active, evicted);
+        let m = self.shared.engine.metrics();
+        m.ivm_deleted.add(maint.deleted);
+        m.ivm_rederived.add(maint.rederived);
+        m.panics.add(maint.panicked);
         let mut out = self.mutation_head(id, "rollback");
         let _ = write!(
             out,
             "\"mark\": {mark}, \"facts\": {}, \"lsn\": {}, \"snapshotted\": {snapshotted}",
             info.facts, info.lsn
         );
-        self.engine_block(&mut out);
         out.push('}');
         Ok(out)
     }
@@ -1343,7 +1378,9 @@ impl ServeSession {
         if !session.is_durable() {
             return false;
         }
-        self.shared.engine.record_wal(1, info.wal_bytes);
+        let m = self.shared.engine.metrics();
+        m.wal_records.add(1);
+        m.wal_bytes.add(info.wal_bytes);
         if !session.snapshot_due() {
             return false;
         }
@@ -1352,13 +1389,13 @@ impl ServeSession {
             session.snapshot_now(&vocab).is_ok()
         };
         if snapshotted {
-            self.shared.engine.record_snapshot();
+            m.snapshots.add(1);
         }
         snapshotted
     }
 
     /// The common `{"id": ..., "status": "ok", "op": ..., ` response
-    /// prefix of session mutations.
+    /// prefix of the non-query ops.
     fn mutation_head(&self, id: Option<&str>, op: &str) -> String {
         let mut out = String::from("{");
         if let Some(id) = id {
@@ -1368,78 +1405,6 @@ impl ServeSession {
         }
         let _ = write!(out, "\"status\": \"ok\", \"op\": \"{op}\", ");
         out
-    }
-
-    /// Appends the cumulative `, "engine": {...}` totals block (field
-    /// order is part of the protocol; new counters only ever append).
-    fn engine_block(&self, out: &mut String) {
-        let totals = self.shared.engine.stats();
-        let session_facts = lock_recover(&self.shared.session).len();
-        let _ = write!(
-            out,
-            ", \"engine\": {{\"requests\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_size\": {}, \"evictions\": {}, \"inflight_waits\": {}, \
-             \"overloaded\": {}, \"panics\": {}, \"facts_interned\": {}, \
-             \"arena_bytes\": {}, \"dedup_hits\": {}, \"wal_records\": {}, \
-             \"wal_bytes\": {}, \"snapshots\": {}, \"recovered_records\": {}, \
-             \"recovered_facts\": {}, \"session_facts\": {}, \"quarantined\": {}, \
-             \"breaker_trips\": {}, \"faults_injected\": {}, \"conns_accepted\": {}, \
-             \"conns_refused\": {}, \"conns_active\": {}, \"queue_depth\": {}, \
-             \"queue_rejects\": {}, \"drains\": {}, \"ivm_maintained_hits\": {}, \
-             \"ivm_deleted\": {}, \"ivm_rederived\": {}, \"views_active\": {}, \
-             \"views_evicted\": {}, \"certs_emitted\": {}, \"cert_bytes\": {}, \
-             \"sql_compiles\": {}, \"sql_refusals\": {}, \
-             \"repl_frames_shipped\": {}, \"repl_bytes_shipped\": {}, \
-             \"repl_snapshots_shipped\": {}, \"repl_records_applied\": {}, \
-             \"repl_bytes_applied\": {}, \"repl_reconnects\": {}, \
-             \"repl_promotions\": {}, \"repl_write_refusals\": {}, \
-             \"repl_stale_refusals\": {}, \"repl_lag_lsn\": {}}}",
-            totals.requests,
-            totals.cache_hits,
-            totals.cache_misses,
-            totals.cache_size,
-            totals.cache_evictions,
-            totals.inflight_waits,
-            totals.overloaded,
-            totals.panics,
-            totals.facts_interned,
-            totals.arena_bytes,
-            totals.dedup_hits,
-            totals.wal_records,
-            totals.wal_bytes,
-            totals.snapshots,
-            totals.recovered_records,
-            totals.recovered_facts,
-            session_facts,
-            totals.quarantined,
-            totals.breaker_trips,
-            totals.faults_injected,
-            totals.conns_accepted,
-            totals.conns_refused,
-            totals.conns_active,
-            totals.queue_depth,
-            totals.queue_rejects,
-            totals.drains,
-            totals.ivm_maintained_hits,
-            totals.ivm_deleted,
-            totals.ivm_rederived,
-            totals.views_active,
-            totals.views_evicted,
-            totals.certs_emitted,
-            totals.cert_bytes,
-            totals.sql_compiles,
-            totals.sql_refusals,
-            totals.repl_frames_shipped,
-            totals.repl_bytes_shipped,
-            totals.repl_snapshots_shipped,
-            totals.repl_records_applied,
-            totals.repl_bytes_applied,
-            totals.repl_reconnects,
-            totals.repl_promotions,
-            totals.repl_write_refusals,
-            totals.repl_stale_refusals,
-            totals.repl_lag_lsn,
-        );
     }
 
     /// The structured refusal for an over-long input line (the caller
@@ -1737,6 +1702,10 @@ mod tests {
         response
     }
 
+    fn stats_reply(s: &mut ServeSession) -> String {
+        s.handle_line(r#"{"op": "stats"}"#)
+    }
+
     #[test]
     fn single_abox_roundtrip() {
         let mut s = ServeSession::with_threads(2);
@@ -1748,11 +1717,13 @@ mod tests {
         ok_field(&resp, "\"cached\": false");
         ok_field(&resp, r#"["ada"]"#);
         ok_field(&resp, r#"["grace"]"#);
-        // Request-scoped stats say "miss"; engine totals count it.
+        // Request-scoped stats say "miss"; the pulled totals count it.
         ok_field(&resp, "\"cache_hit\": false");
+        assert!(!resp.contains("\"engine\""), "totals are pulled: {resp}");
+        let totals = stats_reply(&mut s);
         ok_field(
-            &resp,
-            "\"engine\": {\"requests\": 1, \"cache_hits\": 0, \"cache_misses\": 1",
+            &totals,
+            r#""engine": {"requests": 1, "cache_hits": 0, "cache_misses": 1"#,
         );
         // Same OMQ again: served from the cache.
         let resp2 = s.handle_line(
@@ -1761,7 +1732,10 @@ mod tests {
         ok_field(&resp2, "\"cached\": true");
         ok_field(&resp2, r#"["bob"]"#);
         ok_field(&resp2, "\"cache_hit\": true");
-        ok_field(&resp2, "\"cache_hits\": 1, \"cache_misses\": 1");
+        ok_field(
+            &stats_reply(&mut s),
+            r#""cache_hits": 1, "cache_misses": 1"#,
+        );
         // Responses are valid JSON.
         assert!(crate::json::parse(&resp).is_ok());
         assert!(crate::json::parse(&resp2).is_ok());
@@ -1921,15 +1895,16 @@ mod tests {
         let q1 = s.handle_line(q);
         ok_field(&q1, r#"[["ada"]]"#);
         ok_field(&q1, "\"maintained\": false");
-        ok_field(&q1, "\"views_active\": 1");
-        ok_field(&q1, "\"ivm_maintained_hits\": 0");
+        let totals = stats_reply(&mut s);
+        ok_field(&totals, "\"views_active\": 1");
+        ok_field(&totals, "\"ivm_maintained_hits\": 0");
         // Repeat: answered from the maintained view (incremental sync
         // over the one new fact, not a from-scratch fixpoint).
         s.handle_line(r#"{"op": "assert", "abox": "A(bob)"}"#);
         let q2 = s.handle_line(q);
         ok_field(&q2, r#"[["ada"], ["bob"]]"#);
         ok_field(&q2, "\"maintained\": true");
-        ok_field(&q2, "\"ivm_maintained_hits\": 1");
+        ok_field(&stats_reply(&mut s), "\"ivm_maintained_hits\": 1");
         assert_eq!(s.engine().stats().ivm_maintained_hits, 1);
         // A rollback maintains the view (DRed), so the next query is
         // still a hit and still agrees with the rolled-back store.
@@ -1961,7 +1936,7 @@ mod tests {
             let resp = s.handle_line(q);
             ok_field(&resp, r#"[["ada"]]"#);
             ok_field(&resp, "\"maintained\": false");
-            ok_field(&resp, "\"views_active\": 0");
+            ok_field(&stats_reply(&mut s), "\"views_active\": 0");
         }
         assert_eq!(s.engine().stats().ivm_maintained_hits, 0);
     }
@@ -2013,7 +1988,7 @@ mod tests {
         let mut s2 = ServeSession::with_shared(Arc::new(shared));
         let revived = s2.handle_line(q);
         ok_field(&revived, r#"[["ada"], ["bob"], ["eve"], ["pat"]]"#);
-        ok_field(&revived, "\"session_facts\": 4");
+        ok_field(&stats_reply(&mut s2), "\"session_facts\": 4");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2275,7 +2250,10 @@ mod tests {
         let totals = s.engine().stats();
         assert_eq!(totals.sql_compiles, 1);
         assert_eq!(totals.sql_refusals, 0);
-        ok_field(&sql, "\"sql_compiles\": 1, \"sql_refusals\": 0");
+        ok_field(
+            &stats_reply(&mut s),
+            r#""sql_compiles": 1, "sql_refusals": 0"#,
+        );
         assert!(crate::json::parse(&sql).is_ok());
     }
 
@@ -2369,5 +2347,78 @@ mod tests {
             ok_field(&resp, &format!(r#"[["fresh{i}"]]"#));
         }
         assert_eq!(lock_recover(&s.shared.vocab).const_mark(), baseline);
+    }
+
+    #[test]
+    fn stats_op_renders_the_metrics_table_in_order() {
+        let table: Vec<&str> = EngineStats::default()
+            .entries()
+            .iter()
+            .map(|e| e.0)
+            .collect();
+        let unique: BTreeSet<&str> = table.iter().copied().collect();
+        assert_eq!(unique.len(), table.len(), "metric names must be unique");
+        // The 45 keys of the block every response used to carry, in
+        // their old order, stay the prefix of the table.
+        let old_block: Vec<&str> = "requests cache_hits cache_misses cache_size evictions \
+            inflight_waits overloaded panics facts_interned arena_bytes dedup_hits wal_records \
+            wal_bytes snapshots recovered_records recovered_facts session_facts quarantined \
+            breaker_trips faults_injected conns_accepted conns_refused conns_active queue_depth \
+            queue_rejects drains ivm_maintained_hits ivm_deleted ivm_rederived views_active \
+            views_evicted certs_emitted cert_bytes sql_compiles sql_refusals \
+            repl_frames_shipped repl_bytes_shipped repl_snapshots_shipped repl_records_applied \
+            repl_bytes_applied repl_reconnects repl_promotions repl_write_refusals \
+            repl_stale_refusals repl_lag_lsn"
+            .split_whitespace()
+            .collect();
+        assert_eq!(old_block.len(), 45);
+        assert_eq!(&table[..45], &old_block[..]);
+        // The reply is JSON whose "engine" object is exactly the table's
+        // `"name": value` pairs, in table order.
+        let mut s = ServeSession::with_threads(1);
+        let reply = stats_reply(&mut s);
+        assert!(json::parse(&reply).is_ok(), "not JSON: {reply}");
+        let body = &reply[reply.find("\"engine\": {").unwrap() + 11..reply.len() - 2];
+        let keys: Vec<&str> = body
+            .split(", ")
+            .map(|kv| kv.split('"').nth(1).unwrap())
+            .collect();
+        assert_eq!(keys, table);
+        // A read: followers and fenced nodes answer it instead of
+        // refusing it as a write.
+        for role in [crate::repl::Role::Follower, crate::repl::Role::Fenced] {
+            s.shared().repl().set_role(role);
+            ok_field(&stats_reply(&mut s), r#""status": "ok", "op": "stats""#);
+        }
+    }
+
+    #[test]
+    fn replicated_constants_survive_a_concurrent_read() {
+        let dir =
+            std::env::temp_dir().join(format!("gomq-serve-repl-consts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = ServeSession::with_config(ServeConfig {
+            threads: 1,
+            data_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        // A read is in flight while the follower applies a shipped
+        // assert that interns a new constant; the read's scope exit
+        // must not truncate the name the session store now references.
+        s.shared.scope_enter();
+        let record = crate::wal::WalRecord::Assert(vec![SymFact {
+            rel: "Manager".into(),
+            args: vec![crate::wal::SymTerm::Const("ada".into())],
+        }]);
+        let applied = s
+            .shared
+            .replicate(|session, vocab| session.apply_replicated(1, &record, vocab));
+        assert!(applied.unwrap());
+        s.shared.scope_exit();
+        let q = s.handle_line(
+            r#"{"ontology": "Manager sub Employee", "query": "Employee", "session": true}"#,
+        );
+        ok_field(&q, r#"[["ada"]]"#);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

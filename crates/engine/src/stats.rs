@@ -1,17 +1,22 @@
 //! Engine and per-request statistics.
+//!
+//! Every cumulative engine metric is declared exactly once, as one row
+//! of the `metrics!` table below: its name, its kind and a one-line
+//! doc. The table generates the live [`Metrics`]
+//! (one relaxed atomic per row, held by [`crate::Engine`]), the
+//! [`EngineStats`] snapshot with one `u64` field per row, and the JSON
+//! rendering served by `{"op": "stats"}`. Table order is protocol order:
+//! new rows only ever append.
 
 use gomq_core::StoreStats;
 use gomq_rewriting::TypeStats;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Statistics of one served request (one OMQ evaluated against one
 /// ABox, or one batch of ABoxes).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RequestStats {
-    /// Whether the plan came out of the cache.
-    pub cache_hit: bool,
-    /// Wall time spent compiling the plan (zero on a cache hit).
-    pub compile: Duration,
     /// Wall time spent evaluating the Datalog≠ program.
     pub eval: Duration,
     /// Fixpoint rounds across all strata (summed over a batch).
@@ -42,171 +47,219 @@ pub struct RequestStats {
     pub cert_bytes: usize,
 }
 
-/// Cumulative statistics of an [`crate::Engine`] since construction.
-///
-/// All phase timings are wall-clock [`std::time::Instant`] spans
-/// accumulated across requests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineStats {
-    /// Requests served (each [`crate::Engine::answer`] /
-    /// [`crate::Engine::answer_batch`] call counts once).
-    pub requests: u64,
-    /// Plan-cache hits.
-    pub cache_hits: u64,
-    /// Plan-cache misses (= compilations attempted).
-    pub cache_misses: u64,
-    /// Fixpoint rounds across all evaluations.
-    pub rounds: u64,
-    /// IDB facts derived across all evaluations.
-    pub derived: u64,
-    /// Answer tuples produced across all evaluations.
-    pub answers: u64,
-    /// Total wall time in plan compilation.
-    pub compile_time: Duration,
-    /// Total wall time in evaluation.
-    pub eval_time: Duration,
-    /// Requests aborted because their resource budget (rounds, derived
-    /// facts or deadline) ran out.
-    pub overloaded: u64,
-    /// Panics caught and isolated by the serving layer.
-    pub panics: u64,
-    /// Plans evicted from the cache to honour its capacity bound.
-    pub cache_evictions: u64,
-    /// Lookups that blocked on another thread's in-flight compilation of
-    /// the same OMQ (single-flight deduplication).
-    pub inflight_waits: u64,
-    /// Plans currently resident in the cache (snapshot, not cumulative).
-    pub cache_size: u64,
-    /// Requests served by the bitset type kernel
-    /// ([`crate::Engine::answer_typed`]).
-    pub typed_requests: u64,
-    /// Aggregated propagation-kernel counters across typed requests
-    /// (instance counters summed; kernel-build counters maxed).
-    pub type_stats: TypeStats,
-    /// Facts interned across all evaluation stores.
-    pub facts_interned: u64,
-    /// Bytes of fact-argument arena across all evaluation stores.
-    pub arena_bytes: u64,
-    /// Candidate derivations answered by an existing fact (dedup hits)
-    /// across all evaluation stores.
-    pub dedup_hits: u64,
-    /// Session mutations journaled to the write-ahead log.
-    pub wal_records: u64,
-    /// Frame bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
-    /// Snapshots written (each truncates the WAL).
-    pub snapshots: u64,
-    /// WAL records replayed during recovery at startup.
-    pub recovered_records: u64,
-    /// Facts rebuilt from the snapshot plus WAL replay at startup.
-    pub recovered_facts: u64,
-    /// Requests refused because their plan's circuit breaker was open.
-    pub quarantined: u64,
-    /// Circuit breakers tripped (plans newly quarantined).
-    pub breaker_trips: u64,
-    /// Faults injected by the chaos layer (0 unless the `chaos` feature
-    /// is on and a plan is installed).
-    pub faults_injected: u64,
-    /// TCP connections accepted by the network front end.
-    pub conns_accepted: u64,
-    /// TCP connections refused at accept time (global or per-IP
-    /// connection cap reached).
-    pub conns_refused: u64,
-    /// TCP connections currently open (gauge, not cumulative).
-    pub conns_active: u64,
-    /// Worker-pool jobs currently queued or executing (gauge, sampled at
-    /// the last enqueue/dequeue).
-    pub queue_depth: u64,
-    /// Requests refused with `"limit": "queue"` because the worker
-    /// pool's backpressure queue was full.
-    pub queue_rejects: u64,
-    /// Graceful drains initiated (SIGTERM, shutdown token, or stdin
-    /// EOF finalization).
-    pub drains: u64,
-    /// Session queries answered from a maintained materialization that
-    /// existed before the request (served in O(changed facts)).
-    pub ivm_maintained_hits: u64,
-    /// Facts overcount-deleted by view maintenance (DRed delete
-    /// phase), across query syncs and rollback maintenance.
-    pub ivm_deleted: u64,
-    /// Facts rederived by view maintenance (DRed rederive phase plus
-    /// re-asserted revivals).
-    pub ivm_rederived: u64,
-    /// Maintained views currently registered (gauge, sampled at the
-    /// last view operation).
-    pub views_active: u64,
-    /// Views dropped for any reason: the registry's LRU capacity
-    /// bound, a stale-epoch re-registration refused after a rollback,
-    /// failed maintenance (blown budget or panic), a capacity change,
-    /// or a rebuild with derivation recording.
-    pub views_evicted: u64,
-    /// Responses that carried a derivation certificate.
-    pub certs_emitted: u64,
-    /// Total certificate bytes emitted.
-    pub cert_bytes: u64,
-    /// SQL-backend requests answered by executing the plan's emitted
-    /// SQL (the statement itself is compiled once per plan, alongside
-    /// the Datalog≠ rewriting).
-    pub sql_compiles: u64,
-    /// SQL-backend requests refused with `non-rewritable-to-sql`
-    /// because the plan's rewriting is recursive.
-    pub sql_refusals: u64,
-    /// WAL record frames shipped to replicas (primary side).
-    pub repl_frames_shipped: u64,
-    /// Bytes shipped to replicas (record frames plus snapshots).
-    pub repl_bytes_shipped: u64,
-    /// Bootstrap snapshots shipped to replicas.
-    pub repl_snapshots_shipped: u64,
-    /// Replicated WAL records applied locally (follower side;
-    /// duplicates re-shipped after a reconnect are not counted).
-    pub repl_records_applied: u64,
-    /// Record-frame bytes received and applied (follower side).
-    pub repl_bytes_applied: u64,
-    /// Follower reconnect attempts after a dropped primary connection.
-    pub repl_reconnects: u64,
-    /// Promotions to primary (operator `promote` op or
-    /// `--promote-on-disconnect`).
-    pub repl_promotions: u64,
-    /// Writes refused because this node is a follower (`"read-only"`)
-    /// or a fenced ex-primary (`"fenced"`).
-    pub repl_write_refusals: u64,
-    /// Replica reads refused because the lsn lag exceeded
-    /// `--max-staleness-lsn` (`"stale"`).
-    pub repl_stale_refusals: u64,
-    /// Lsn lag behind the primary at the last applied record or
-    /// heartbeat (gauge, follower side; 0 on a primary).
-    pub repl_lag_lsn: u64,
+/// Applies `f` atomically. Metrics publish no other data, so relaxed
+/// ordering suffices.
+fn update(a: &AtomicU64, f: impl Fn(u64) -> u64) {
+    let _ = a.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(f(v)));
+}
+
+/// A cumulative metric: adds saturate at `u64::MAX` instead of wrapping,
+/// so a pathological workload (or a fault plan lying about sizes) skews
+/// the telemetry but never panics a debug build mid-request.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n`, saturating.
+    pub fn add(&self, n: u64) {
+        update(&self.0, |v| v.saturating_add(n));
+    }
+
+    /// Adds a duration in nanoseconds, saturating.
+    pub fn add_nanos(&self, d: Duration) {
+        self.add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// The current total.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A sampled metric: the last value stored (or a level moved up and
+/// down, saturating at both ends).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// Stores a new sample.
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Raises the level by `n`, saturating.
+    pub fn add(&self, n: u64) {
+        update(&self.0, |v| v.saturating_add(n));
+    }
+
+    /// Lowers the level by `n`, saturating at zero.
+    pub fn sub(&self, n: u64) {
+        update(&self.0, |v| v.saturating_sub(n));
+    }
+
+    /// The current sample.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A high-water metric: keeps the largest value ever offered.
+#[derive(Debug, Default)]
+pub struct Max(AtomicU64);
+
+impl Max {
+    /// Raises the mark to `v` if `v` is larger.
+    pub fn raise(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// The current mark.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Generates [`Metrics`], [`EngineStats`] and the table-order rendering
+/// from one `name Kind "doc";` row per metric.
+macro_rules! metrics {
+    ($($name:ident $kind:ident $doc:literal;)*) => {
+        /// The engine's live metrics, one relaxed atomic per table row.
+        /// Call sites bump fields directly, e.g.
+        /// `engine.metrics().panics.add(1)`.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $(#[doc = $doc] pub $name: $kind,)*
+        }
+
+        /// A snapshot of [`Metrics`] ([`crate::Engine::stats`]), one
+        /// field per table row.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct EngineStats {
+            $(#[doc = $doc] pub $name: u64,)*
+        }
+
+        impl Metrics {
+            /// Reads every metric into an [`EngineStats`].
+            pub fn snapshot(&self) -> EngineStats {
+                EngineStats {
+                    $($name: self.$name.get(),)*
+                }
+            }
+        }
+
+        impl EngineStats {
+            /// `(name, value)` for every metric, in table order.
+            pub fn entries(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+}
+
+metrics! {
+    requests               Counter "Requests served (each answer or batch call counts once).";
+    cache_hits             Gauge   "Plan-cache hits (sampled from the plan cache at snapshot).";
+    cache_misses           Gauge   "Plan-cache misses, i.e. compilations attempted (sampled).";
+    cache_size             Gauge   "Plans currently resident in the cache (sampled).";
+    evictions              Gauge   "Plans evicted by the cache's LRU capacity bound (sampled).";
+    inflight_waits         Gauge   "Lookups that waited on another thread's compilation (sampled).";
+    overloaded             Counter "Requests refused or aborted because their budget ran out.";
+    panics                 Counter "Panics caught and isolated by the serving layer.";
+    facts_interned         Counter "Facts interned across all evaluation stores.";
+    arena_bytes            Counter "Bytes of fact-argument arena across all evaluation stores.";
+    dedup_hits             Counter "Candidate derivations answered by an existing fact.";
+    wal_records            Counter "Session mutations journaled to the write-ahead log.";
+    wal_bytes              Counter "Frame bytes appended to the write-ahead log.";
+    snapshots              Counter "Snapshots written (each truncates the WAL).";
+    recovered_records      Counter "WAL records replayed during recovery at startup.";
+    recovered_facts        Counter "Facts rebuilt from the snapshot plus WAL replay at startup.";
+    session_facts          Gauge   "Facts in the session store (sampled when stats are rendered).";
+    quarantined            Counter "Requests refused because their plan's circuit breaker was open.";
+    breaker_trips          Counter "Circuit breakers tripped (plans newly quarantined).";
+    faults_injected        Gauge   "Faults injected by the chaos layer (sampled; 0 without chaos).";
+    conns_accepted         Counter "TCP connections accepted by the network front end.";
+    conns_refused          Counter "TCP connections refused at accept time (connection caps).";
+    conns_active           Gauge   "TCP connections currently open.";
+    queue_depth            Gauge   "Worker-pool jobs queued or executing at the last enqueue/dequeue.";
+    queue_rejects          Counter "Requests refused with \"limit\": \"queue\" (worker queue full).";
+    drains                 Counter "Graceful drains initiated (signal, shutdown token or stdin EOF).";
+    ivm_maintained_hits    Counter "Session queries answered from a pre-existing maintained view.";
+    ivm_deleted            Counter "Facts overcount-deleted by view maintenance (DRed delete).";
+    ivm_rederived          Counter "Facts rederived by view maintenance (DRed rederive, revivals).";
+    views_active           Gauge   "Maintained views registered at the last view operation.";
+    views_evicted          Gauge   "Views dropped for any reason (the registry's own running total).";
+    certs_emitted          Counter "Responses that carried a derivation certificate.";
+    cert_bytes             Counter "Total certificate bytes emitted.";
+    sql_compiles           Counter "Requests answered by executing the plan's emitted SQL.";
+    sql_refusals           Counter "SQL-backend requests refused because the rewriting is recursive.";
+    repl_frames_shipped    Counter "WAL record frames shipped to replicas (primary side).";
+    repl_bytes_shipped     Counter "Bytes shipped to replicas (record frames plus snapshots).";
+    repl_snapshots_shipped Counter "Bootstrap snapshots shipped to replicas.";
+    repl_records_applied   Counter "Replicated WAL records applied locally (follower side).";
+    repl_bytes_applied     Counter "Record-frame bytes received and applied (follower side).";
+    repl_reconnects        Counter "Follower reconnect attempts after a dropped primary connection.";
+    repl_promotions        Counter "Promotions to primary (promote op or --promote-on-disconnect).";
+    repl_write_refusals    Counter "Writes refused as \"read-only\" (follower) or \"fenced\".";
+    repl_stale_refusals    Counter "Replica reads refused for lagging past --max-staleness-lsn.";
+    repl_lag_lsn           Gauge   "Follower lsn lag behind the primary (0 on a primary).";
+    rounds                 Counter "Fixpoint rounds across all evaluations.";
+    derived                Counter "IDB facts derived across all evaluations.";
+    answers                Counter "Answer tuples produced across all evaluations.";
+    compile_ns             Counter "Wall time in plan lookup and compilation, in nanoseconds.";
+    eval_ns                Counter "Wall time in evaluation, in nanoseconds.";
+    typed_requests         Counter "Requests served by the bitset type kernel.";
+    type_elements          Counter "Active-domain elements propagated by the type kernel.";
+    type_edges             Counter "Binary facts visited by the type kernel.";
+    type_arcs_revised      Counter "AC-3 arc revisions performed by the type kernel.";
+    type_compat_bits       Max     "Largest kernel compatibility-matrix size seen, in set bits.";
+    type_build_ns          Max     "Longest type-kernel build seen, in nanoseconds.";
+    type_propagate_ns      Counter "Wall time in type-kernel propagation, in nanoseconds.";
+}
+
+impl Metrics {
+    /// Folds one request's statistics into the totals.
+    pub fn absorb(&self, r: &RequestStats) {
+        self.requests.add(1);
+        self.rounds.add(r.rounds as u64);
+        self.derived.add(r.derived as u64);
+        self.answers.add(r.answers as u64);
+        self.eval_ns.add_nanos(r.eval);
+        if r.typed {
+            let t = &r.type_stats;
+            self.typed_requests.add(1);
+            self.type_elements.add(t.elements as u64);
+            self.type_edges.add(t.edges as u64);
+            self.type_arcs_revised.add(t.arcs_revised as u64);
+            self.type_compat_bits.raise(t.compat_bits as u64);
+            self.type_build_ns.raise(t.build_ns);
+            self.type_propagate_ns.add(t.propagate_ns);
+        }
+        self.facts_interned.add(r.store.facts);
+        self.arena_bytes.add(r.store.arena_bytes());
+        self.dedup_hits.add(r.store.dedup_hits);
+        if r.maintained {
+            self.ivm_maintained_hits.add(1);
+        }
+        self.ivm_deleted.add(r.ivm_deleted as u64);
+        self.ivm_rederived.add(r.ivm_rederived as u64);
+        if r.cert_bytes > 0 {
+            self.certs_emitted.add(1);
+            self.cert_bytes.add(r.cert_bytes as u64);
+        }
+    }
 }
 
 impl EngineStats {
-    /// Folds one request's statistics into the cumulative totals.
-    ///
-    /// All counter folds saturate: a pathological workload (or a fault
-    /// plan lying about sizes) must skew the telemetry, never panic a
-    /// debug build mid-request.
-    pub(crate) fn absorb(&mut self, r: &RequestStats) {
-        self.requests = self.requests.saturating_add(1);
-        self.rounds = self.rounds.saturating_add(r.rounds as u64);
-        self.derived = self.derived.saturating_add(r.derived as u64);
-        self.answers = self.answers.saturating_add(r.answers as u64);
-        self.compile_time = self.compile_time.saturating_add(r.compile);
-        self.eval_time = self.eval_time.saturating_add(r.eval);
-        if r.typed {
-            self.typed_requests = self.typed_requests.saturating_add(1);
-            self.type_stats.absorb(&r.type_stats);
-        }
-        self.facts_interned = self.facts_interned.saturating_add(r.store.facts);
-        self.arena_bytes = self.arena_bytes.saturating_add(r.store.arena_bytes());
-        self.dedup_hits = self.dedup_hits.saturating_add(r.store.dedup_hits);
-        if r.maintained {
-            self.ivm_maintained_hits = self.ivm_maintained_hits.saturating_add(1);
-        }
-        self.ivm_deleted = self.ivm_deleted.saturating_add(r.ivm_deleted as u64);
-        self.ivm_rederived = self.ivm_rederived.saturating_add(r.ivm_rederived as u64);
-        if r.cert_bytes > 0 {
-            self.certs_emitted = self.certs_emitted.saturating_add(1);
-            self.cert_bytes = self.cert_bytes.saturating_add(r.cert_bytes as u64);
-        }
+    /// Appends the snapshot as one JSON object, keys in table order.
+    pub fn write_json(&self, out: &mut String) {
+        let pairs: Vec<String> = self
+            .entries()
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        out.push('{');
+        out.push_str(&pairs.join(", "));
+        out.push('}');
     }
 }
 
@@ -216,21 +269,23 @@ mod tests {
 
     #[test]
     fn absorb_saturates_instead_of_overflowing() {
-        let mut s = EngineStats {
-            requests: u64::MAX,
-            rounds: u64::MAX - 1,
-            derived: u64::MAX,
-            answers: u64::MAX,
-            facts_interned: u64::MAX,
-            arena_bytes: u64::MAX,
-            dedup_hits: u64::MAX,
-            ivm_maintained_hits: u64::MAX,
-            ivm_deleted: u64::MAX,
-            ivm_rederived: u64::MAX,
-            certs_emitted: u64::MAX,
-            cert_bytes: u64::MAX,
-            ..EngineStats::default()
-        };
+        let m = Metrics::default();
+        for c in [
+            &m.requests,
+            &m.derived,
+            &m.answers,
+            &m.facts_interned,
+            &m.arena_bytes,
+            &m.dedup_hits,
+            &m.ivm_maintained_hits,
+            &m.ivm_deleted,
+            &m.ivm_rederived,
+            &m.certs_emitted,
+            &m.cert_bytes,
+        ] {
+            c.add(u64::MAX);
+        }
+        m.rounds.add(u64::MAX - 1);
         let r = RequestStats {
             rounds: 7,
             derived: 7,
@@ -246,7 +301,8 @@ mod tests {
             cert_bytes: 7,
             ..RequestStats::default()
         };
-        s.absorb(&r); // must not panic in debug builds
+        m.absorb(&r); // must not panic in debug builds
+        let s = m.snapshot();
         assert_eq!(s.requests, u64::MAX);
         assert_eq!(s.rounds, u64::MAX);
         assert_eq!(s.derived, u64::MAX);
@@ -256,5 +312,16 @@ mod tests {
         assert_eq!(s.ivm_rederived, u64::MAX);
         assert_eq!(s.certs_emitted, u64::MAX);
         assert_eq!(s.cert_bytes, u64::MAX);
+    }
+
+    #[test]
+    fn gauge_levels_floor_at_zero_and_maxima_keep_the_largest() {
+        let m = Metrics::default();
+        m.conns_active.add(2);
+        m.conns_active.sub(5);
+        for ns in [5, 9, 2] {
+            m.type_build_ns.raise(ns);
+        }
+        assert_eq!((m.conns_active.get(), m.type_build_ns.get()), (0, 9));
     }
 }

@@ -344,6 +344,4 @@ fn certificates_survive_sigkill_and_replay() {
         got, base,
         "certified answers or snapshot bindings diverged after SIGKILL + replay"
     );
-    std::fs::remove_dir_all(&base_dir).ok();
-    std::fs::remove_dir_all(&kill_dir).ok();
 }

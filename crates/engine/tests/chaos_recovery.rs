@@ -52,7 +52,6 @@ fn uninterrupted(extra: &[&str]) -> Vec<(String, Json)> {
         answers.extend(answers_of(&response));
     }
     serve.finish();
-    std::fs::remove_dir_all(&dir).unwrap();
     answers
 }
 
@@ -90,7 +89,6 @@ fn interrupted(kill_after: usize, tear_tail: bool, extra: &[&str]) -> Vec<(Strin
         answers.extend(answers_of(&response));
     }
     serve.finish();
-    std::fs::remove_dir_all(&dir).unwrap();
     answers
 }
 

@@ -10,12 +10,39 @@ use gomq_engine::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fresh per-process scratch directory for a `--data-dir`.
-pub fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gomq-chaos-{tag}-{}", std::process::id()));
+static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A scratch directory for a `--data-dir`, removed when dropped.
+pub struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh scratch directory, unique per call: tests running in
+/// parallel in one process never share (or delete) each other's data.
+pub fn tmpdir(tag: &str) -> TempDir {
+    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("gomq-chaos-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 /// A running stdin-mode `gomq-serve` driven one acknowledged request at

@@ -8,7 +8,7 @@ use gomq_core::{Fact, IndexedInstance, Instance, RelId, Vocab};
 use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::exec::{eval_strata, Strata};
+use gomq_engine::backend::native::{eval_strata, Strata};
 use gomq_engine::Engine;
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;

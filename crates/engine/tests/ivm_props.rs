@@ -285,6 +285,4 @@ fn maintained_views_survive_sigkill_and_replay() {
         got, base,
         "recovered session answers diverged byte-for-byte after SIGKILL"
     );
-    std::fs::remove_dir_all(&base_dir).ok();
-    std::fs::remove_dir_all(&kill_dir).ok();
 }

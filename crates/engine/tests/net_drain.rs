@@ -201,5 +201,4 @@ fn sigterm_mid_load_answers_in_flight_and_recovers_identically() {
         expected,
         "recovered store does not hold exactly the acknowledged facts"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -23,12 +23,12 @@
 
 mod common;
 
-use common::{answers_of, tmpdir, Serve};
+use common::{answers_of, tmpdir, Serve, TempDir};
 use gomq_cert::json::{self as cjson, Value};
 use gomq_cert::{verify_value, Verified};
 use gomq_engine::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -46,21 +46,14 @@ fn node_flags() -> Vec<&'static str> {
     flags
 }
 
-/// Reserves an ephemeral port and frees it again, so a later process
-/// can bind it by number. Fencing needs the resurrected primary to come
-/// back on the *same* replication address the promoted node keeps
-/// pinging.
-fn reserve_port() -> u16 {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve port");
-    listener.local_addr().expect("local addr").port()
-}
-
-/// A `gomq-serve --listen` child with its announced client address and
+/// A `gomq-serve --listen` child with its announced client address
+/// (and, with `--replicate-to`, its announced replication address) and
 /// a thread draining stderr.
 struct Node {
     child: Child,
     addr: String,
-    stderr: std::thread::JoinHandle<String>,
+    repl_addr: Option<String>,
+    stderr: Option<std::thread::JoinHandle<String>>,
 }
 
 impl Node {
@@ -77,16 +70,21 @@ impl Node {
             .spawn()
             .expect("spawn gomq-serve --listen");
         let mut lines = BufReader::new(child.stderr.take().expect("stderr piped"));
-        let addr = loop {
+        let replicates = extra.contains(&"--replicate-to");
+        let (mut addr, mut repl_addr) = (None, None);
+        while addr.is_none() || (replicates && repl_addr.is_none()) {
             let mut line = String::new();
             assert!(
                 lines.read_line(&mut line).expect("read stderr") > 0,
-                "node exited before announcing its client address"
+                "node exited before announcing its addresses"
             );
-            if let Some(addr) = line.trim().strip_prefix("gomq-serve: listening on ") {
-                break addr.to_owned();
+            let line = line.trim();
+            if let Some(a) = line.strip_prefix("gomq-serve: listening on ") {
+                addr = Some(a.to_owned());
+            } else if let Some(a) = line.strip_prefix("gomq-serve: replication listening on ") {
+                repl_addr = Some(a.to_owned());
             }
-        };
+        }
         // Keep draining stderr so the child can never block on a full
         // pipe (reconnect chatter under chaos is noisy).
         let stderr = std::thread::spawn(move || {
@@ -100,8 +98,9 @@ impl Node {
         });
         Node {
             child,
-            addr,
-            stderr,
+            addr: addr.expect("announced above"),
+            repl_addr,
+            stderr: Some(stderr),
         }
     }
 
@@ -109,7 +108,16 @@ impl Node {
     fn kill(mut self) -> String {
         self.child.kill().expect("kill node");
         let _ = self.child.wait();
-        self.stderr.join().expect("stderr thread")
+        let stderr = self.stderr.take().expect("joined only here");
+        stderr.join().expect("stderr thread")
+    }
+}
+
+impl Drop for Node {
+    /// A test that fails mid-way must not leak its server processes.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -276,7 +284,7 @@ fn await_caught_up(client: &mut Client, expect_facts: usize) -> String {
 struct Failover {
     replica: Node,
     reads: Client,
-    replica_dir: std::path::PathBuf,
+    _replica_dir: TempDir,
     repl_addr: String,
 }
 
@@ -287,10 +295,11 @@ struct Failover {
 fn failover_round(tag: &str, kill_after: usize) -> Failover {
     let primary_dir = tmpdir(&format!("repl-{tag}-primary"));
     let replica_dir = tmpdir(&format!("repl-{tag}-replica"));
-    let repl_port = reserve_port();
-    let repl_addr = format!("127.0.0.1:{repl_port}");
 
-    let primary = Node::spawn(&primary_dir, &["--replicate-to", &repl_addr]);
+    // The primary binds an ephemeral replication port and announces it;
+    // the resurrected ex-primary later rebinds that port by number.
+    let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
+    let repl_addr = primary.repl_addr.clone().expect("primary announces");
     let replica = Node::spawn(
         &replica_dir,
         &["--follow", &repl_addr, "--promote-on-disconnect"],
@@ -331,11 +340,10 @@ fn failover_round(tag: &str, kill_after: usize) -> Failover {
         );
         std::thread::sleep(Duration::from_millis(100));
     }
-    std::fs::remove_dir_all(&primary_dir).ok();
     Failover {
         replica,
         reads,
-        replica_dir,
+        _replica_dir: replica_dir,
         repl_addr,
     }
 }
@@ -352,7 +360,6 @@ fn oracle_answers(tag: &str, kill_after: usize, query: &str) -> Json {
     }
     let response = serve.request(query);
     serve.finish();
-    std::fs::remove_dir_all(&dir).ok();
     let (_, answers) = answers_of(&response).expect("oracle query answers");
     answers
 }
@@ -377,7 +384,6 @@ fn promoted_replica_serves_exactly_the_acknowledged_facts() {
         acked(reads, &assert_line(kill_after));
 
         round.replica.kill();
-        std::fs::remove_dir_all(&round.replica_dir).ok();
     }
 }
 
@@ -386,10 +392,9 @@ fn replica_reads_carry_verifiable_certificates() {
     let kill_after = 5;
     let primary_dir = tmpdir("repl-cert-primary");
     let replica_dir = tmpdir("repl-cert-replica");
-    let repl_port = reserve_port();
-    let repl_addr = format!("127.0.0.1:{repl_port}");
 
-    let primary = Node::spawn(&primary_dir, &["--replicate-to", &repl_addr]);
+    let primary = Node::spawn(&primary_dir, &["--replicate-to", "127.0.0.1:0"]);
+    let repl_addr = primary.repl_addr.clone().expect("primary announces");
     let replica = Node::spawn(&replica_dir, &["--follow", &repl_addr]);
 
     let mut writes = Client::connect(&primary.addr);
@@ -415,8 +420,6 @@ fn replica_reads_carry_verifiable_certificates() {
 
     primary.kill();
     replica.kill();
-    std::fs::remove_dir_all(&primary_dir).ok();
-    std::fs::remove_dir_all(&replica_dir).ok();
 }
 
 #[test]
@@ -462,6 +465,4 @@ fn resurrected_primary_is_fenced_by_the_promoted_node() {
 
     resurrected.kill();
     round.replica.kill();
-    std::fs::remove_dir_all(&resurrected_dir).ok();
-    std::fs::remove_dir_all(&round.replica_dir).ok();
 }

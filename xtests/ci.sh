@@ -70,6 +70,26 @@ E16_TINY=1 cargo bench -p gomq-bench --bench e16_cert
 echo "==> E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql (smoke)"
 E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql
 
+# Serve smoke: the cumulative engine counters are pulled with
+# {"op": "stats"}, never pushed on query replies.
+echo "==> gomq-serve query + stats smoke (release)"
+serve_out="$(printf '%s\n' '{"ontology": "A sub B", "query": "B", "abox": "A(ada)"}' \
+    '{"op": "stats"}' | target/release/gomq-serve 2>/dev/null)"
+query_reply="$(printf '%s\n' "$serve_out" | sed -n 1p)"
+stats_reply="$(printf '%s\n' "$serve_out" | sed -n 2p)"
+printf '%s\n' "$query_reply" | grep -qF '"answers": [["ada"]]' || {
+    echo "serve smoke: query reply lacks the answer: $query_reply" >&2
+    exit 1
+}
+if printf '%s\n' "$query_reply" | grep -qF '"engine"'; then
+    echo "serve smoke: query reply still carries the engine block: $query_reply" >&2
+    exit 1
+fi
+printf '%s\n' "$stats_reply" | grep -qF '"cache_misses": 1' || {
+    echo "serve smoke: stats reply lacks \"cache_misses\": 1: $stats_reply" >&2
+    exit 1
+}
+
 # gomq-cert round-trip smoke on the committed example families: the
 # company OMQ is answered with a certificate on the request-ABox path
 # and on the session path (snapshot-bound), and both responses must
