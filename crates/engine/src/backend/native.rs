@@ -8,20 +8,30 @@
 //! 1. runs one semi-naive fixpoint per stratum, so rules whose inputs
 //!    are already saturated are never revisited (a non-recursive
 //!    stratum saturates in a single pass);
-//! 2. evaluates against [`IndexedInstance`]s, so joins with a bound
+//! 2. makes every round *exact* ([`derive_round_since`]): a rule runs
+//!    one pivot per body atom, the pivot reads the round's delta (ids
+//!    past the frontier), atoms before it read only the old facts (ids
+//!    below it) and atoms after it read the whole store. An
+//!    instantiation is therefore found once, at its first body atom in
+//!    the delta, not once per such atom; a stratum's first pass (empty
+//!    old part) runs pivot 0 alone;
+//! 3. evaluates against [`IndexedInstance`]s, so joins with a bound
 //!    first argument probe a hash bucket instead of scanning;
-//! 3. splits the rules of a stratum across a scoped worker pool within
+//! 4. splits the rules of a stratum across a scoped worker pool within
 //!    each round ([`std::thread::scope`] — no external dependencies),
 //!    merging the per-worker derivations into the next delta.
 //!
 //! [`eval_program`] is answer-equivalent to [`Program::eval`]; the
 //! property tests in `tests/engine_props.rs` check exactly that, and
-//! `tests/sql_crosscheck.rs` checks it against the SQL backend.
+//! `tests/sql_crosscheck.rs` checks it against the SQL backend. Those
+//! oracles, the certificate path (`fixpoint_traced`) and incremental
+//! maintenance keep the classic split in which every non-pivot atom
+//! reads the whole store (see `gomq_datalog::derive_round`).
 
-use gomq_core::{DeltaView, FactBuf, IndexedInstance, Instance, RelId, Term};
+use gomq_core::{FactBuf, IndexedInstance, Instance, RelId, Term};
 use gomq_datalog::eval::EvalStats;
 use gomq_datalog::ir::{PlanIr, StratumIr};
-use gomq_datalog::{derive_round, Budget, BudgetExceeded, Program, Rule};
+use gomq_datalog::{derive_round_since, Budget, BudgetExceeded, Program, Rule};
 use std::collections::BTreeSet;
 
 /// Backward-compatible name for the shared [`PlanIr`]: the native
@@ -36,12 +46,14 @@ pub type Stratum = StratumIr;
 /// splitting across threads; below this the spawn overhead dominates.
 const PARALLEL_DELTA_THRESHOLD: usize = 64;
 
-/// One semi-naive round over `rules`, split across `threads` workers.
+/// One exact semi-naive round over `rules`, split across `threads`
+/// workers.
 ///
-/// The round's delta is the id range of `total` past `frontier` (a
-/// [`DeltaView`] — no delta set is materialized, let alone cloned);
-/// staged head facts land in the columnar `out` buffer, per-worker
-/// buffers being merged with bulk [`FactBuf::append`]s.
+/// The round's delta is the id range of `total` past `frontier` and its
+/// old facts the range below it ([`derive_round_since`] — no delta set
+/// is materialized, let alone cloned); staged head facts land in the
+/// columnar `out` buffer, per-worker buffers being merged with bulk
+/// [`FactBuf::append`]s.
 fn parallel_round(
     rules: &[Rule],
     total: &IndexedInstance,
@@ -52,7 +64,7 @@ fn parallel_round(
     let delta_len = total.len() - frontier as usize;
     let workers = threads.min(rules.len()).max(1);
     if workers == 1 || delta_len < PARALLEL_DELTA_THRESHOLD {
-        derive_round(rules, total, &DeltaView::new(total, frontier), out);
+        derive_round_since(rules, total, frontier, out);
         return;
     }
     let chunk_size = rules.len().div_ceil(workers);
@@ -63,7 +75,7 @@ fn parallel_round(
             .map(|chunk| {
                 scope.spawn(move || {
                     let mut buf = FactBuf::new();
-                    derive_round(chunk, total, &DeltaView::new(total, frontier), &mut buf);
+                    derive_round_since(chunk, total, frontier, &mut buf);
                     buf
                 })
             })
@@ -329,6 +341,75 @@ mod tests {
             assert!(stats.rounds >= 3);
         }
         assert_eq!(expected.len(), 7 * 6);
+    }
+
+    #[test]
+    fn worker_rounds_match_sequential_rounds() {
+        // Transitive closure by doubling, T(x,z) :- T(x,y), T(y,z): on a
+        // 16-cycle the round deltas grow 16, 16, 32, 64, 128, so the
+        // last rounds take the worker branch (a linear closure on an
+        // n-cycle only ever has deltas of n).
+        let mut v = Vocab::new();
+        let e = v.rel("E", 2);
+        let t = v.rel("T", 2);
+        let g = v.rel("goal", 2);
+        let p = Program::new(
+            vec![
+                Rule::new(
+                    DAtom::vars(t, &[0, 1]),
+                    vec![Literal::Pos(DAtom::vars(e, &[0, 1]))],
+                ),
+                Rule::new(
+                    DAtom::vars(t, &[0, 2]),
+                    vec![
+                        Literal::Pos(DAtom::vars(t, &[0, 1])),
+                        Literal::Pos(DAtom::vars(t, &[1, 2])),
+                    ],
+                ),
+                Rule::new(
+                    DAtom::vars(g, &[0, 1]),
+                    vec![
+                        Literal::Pos(DAtom::vars(t, &[0, 1])),
+                        Literal::Neq(DTerm::Var(0), DTerm::Var(1)),
+                    ],
+                ),
+            ],
+            g,
+        );
+        let d = cycle(&mut v, 16);
+        let strata = Strata::of(&p);
+        let closure = &strata.strata[0].rules;
+        assert_eq!(closure.len(), 2);
+        // Round by round, four threads stage what one thread stages.
+        let mut total = IndexedInstance::from_interpretation(&d);
+        let mut frontier = 0u32;
+        let mut widest = 0;
+        loop {
+            widest = widest.max(total.len() - frontier as usize);
+            let mut one = FactBuf::new();
+            parallel_round(closure, &total, frontier, 1, &mut one);
+            let mut four = FactBuf::new();
+            parallel_round(closure, &total, frontier, 4, &mut four);
+            assert_eq!(
+                one.iter().collect::<Vec<_>>(),
+                four.iter().collect::<Vec<_>>()
+            );
+            frontier = total.len() as u32;
+            if absorb(&one, &mut total) == 0 {
+                break;
+            }
+        }
+        assert!(widest >= PARALLEL_DELTA_THRESHOLD, "widest delta {widest}");
+        // End to end: the same answers, derivations and duplicates.
+        let expected = p.eval(&d);
+        assert_eq!(expected.len(), 16 * 15);
+        let (one, one_stats) = eval_plain(&p, &d, 1);
+        let (four, four_stats) = eval_plain(&p, &d, 4);
+        assert_eq!(one, expected);
+        assert_eq!(four, expected);
+        assert_eq!(one_stats.rounds, four_stats.rounds);
+        assert_eq!(one_stats.derived, four_stats.derived);
+        assert_eq!(one_stats.store.dedup_hits, four_stats.store.dedup_hits);
     }
 
     #[test]

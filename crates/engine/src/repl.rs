@@ -1249,7 +1249,9 @@ fn follow_once(shared: &Arc<ServeShared>, addr: &str, token: &DrainToken) -> Fol
                     Err(SessionError::Io(msg)) => {
                         // Disk trouble is transient; reconnecting re-ships
                         // the snapshot.
-                        eprintln!("gomq-serve: repl: snapshot install I/O error: {msg}; reconnecting");
+                        eprintln!(
+                            "gomq-serve: repl: snapshot install I/O error: {msg}; reconnecting"
+                        );
                         break end(progressed);
                     }
                     Err(e) => {

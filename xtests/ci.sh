@@ -302,4 +302,17 @@ cargo test -q --release -p gomq-engine --test repl_chaos
 echo "==> cargo test -q --release -p gomq-engine --features chaos --test repl_chaos (repl.ship/repl.apply faults)"
 cargo test -q --release -p gomq-engine --features chaos --test repl_chaos
 
+# Flake gate: the suites that spawn processes, bind ports or own data
+# directories rerun a fixed number of times with twice as many test
+# threads as CPUs, so a race between their tests fails CI instead of
+# hiding behind one lucky pass.
+FLAKE_RERUNS=3
+flake_threads=$((2 * $(nproc)))
+for flake_run in $(seq 1 "$FLAKE_RERUNS"); do
+    for flake_suite in chaos_recovery net_drain repl_chaos ivm_props cert_props; do
+        echo "==> flake gate $flake_run/$FLAKE_RERUNS: cargo test -q --release -p gomq-engine --test $flake_suite -- --test-threads=$flake_threads"
+        cargo test -q --release -p gomq-engine --test "$flake_suite" -- --test-threads="$flake_threads"
+    done
+done
+
 echo "CI gate passed."
