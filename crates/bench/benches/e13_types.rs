@@ -33,13 +33,13 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("reference_{width}"), n),
                 &n,
-                |b, _| b.iter(|| std::hint::black_box(sys.instance_types_reference(&d))),
+                |b, _| b.iter(|| std::hint::black_box(sys.instance_types_reference(d.store()))),
             );
 
             group.bench_with_input(
                 BenchmarkId::new(format!("bitset_{width}"), n),
                 &n,
-                |b, _| b.iter(|| std::hint::black_box(sys.instance_types(&d))),
+                |b, _| b.iter(|| std::hint::black_box(sys.instance_types(d.store()))),
             );
         }
     }

@@ -13,8 +13,8 @@
 //!   `sync` over the facts asserted since the view last looked —
 //!   counting semi-naive insertion propagation restricted to the delta.
 //! * `recompute_*`: what a view-less session does — every query
-//!   re-runs the full stratified fixpoint over the current store
-//!   (`eval_strata_budgeted`, the serving executor itself).
+//!   re-runs the plan's bitset type kernel over the current store
+//!   (`backend::native::eval_kernel`, the serving executor itself).
 //!
 //! Both streams produce the same answer sets; the harness asserts
 //! per-query equality outside the measured region.
@@ -25,10 +25,9 @@ use gomq_core::{Fact, IndexedInstance, RelId, Term, Vocab};
 use gomq_datalog::{Budget, Materialization, Rule};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::{eval_strata_budgeted, Strata};
+use gomq_engine::backend::native::eval_kernel;
+use gomq_engine::OmqPlan;
 use gomq_logic::GfOntology;
-use gomq_rewriting::emit::emit_datalog;
-use gomq_rewriting::ElementTypeSystem;
 use std::collections::BTreeSet;
 
 fn odd_cycle_dl(vocab: &mut Vocab) -> (GfOntology, RelId, RelId) {
@@ -91,10 +90,9 @@ fn run_maintained(
     answers
 }
 
-/// The recompute side: every query re-runs the full fixpoint.
+/// The recompute side: every query re-runs the kernel from scratch.
 fn run_recompute(
-    strata: &Strata,
-    goal: RelId,
+    plan: &OmqPlan,
     base: &IndexedInstance,
     ops: &[Op],
     fresh: &[Fact],
@@ -111,8 +109,7 @@ fn run_recompute(
                 next += 1;
             }
             Op::Query => {
-                let (a, _) =
-                    eval_strata_budgeted(strata, goal, &store, 1, &budget).expect("unlimited");
+                let (a, _) = eval_kernel(plan, store.store(), &budget).expect("unlimited");
                 answers.push(a);
             }
         }
@@ -125,9 +122,8 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let mut v = Vocab::new();
     let (o, r, e) = odd_cycle_dl(&mut v);
-    let sys = ElementTypeSystem::build(&o, &v).expect("supported");
-    let program = emit_datalog(&sys, e, &mut v).optimize();
-    let strata = Strata::of(&program);
+    let plan = OmqPlan::compile(&o, e, &mut v).expect("supported");
+    let program = &plan.program;
 
     // CI smoke (xtests/ci.sh) runs the tiny size only; the recorded
     // BENCH_ivm.json numbers come from the full sweep.
@@ -162,8 +158,8 @@ fn bench(c: &mut Criterion) {
             let ops = stream(a, q, blocks);
             // Equal answer sets — checked once, outside the measured
             // region.
-            let maintained = run_maintained(&program.rules, e, &base, &ops, &fresh);
-            let recomputed = run_recompute(&strata, e, &base, &ops, &fresh);
+            let maintained = run_maintained(&program.rules, program.goal, &base, &ops, &fresh);
+            let recomputed = run_recompute(&plan, &base, &ops, &fresh);
             assert_eq!(
                 maintained, recomputed,
                 "maintained answers diverged from recompute ({label}, n={n})"
@@ -173,14 +169,12 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("maintained", &id), &n, |b, _| {
                 b.iter(|| {
                     std::hint::black_box(
-                        run_maintained(&program.rules, e, &base, &ops, &fresh).len(),
+                        run_maintained(&program.rules, program.goal, &base, &ops, &fresh).len(),
                     )
                 })
             });
             group.bench_with_input(BenchmarkId::new("recompute", &id), &n, |b, _| {
-                b.iter(|| {
-                    std::hint::black_box(run_recompute(&strata, e, &base, &ops, &fresh).len())
-                })
+                b.iter(|| std::hint::black_box(run_recompute(&plan, &base, &ops, &fresh).len()))
             });
         }
     }

@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(program.eval(&d).len()))
         });
         group.bench_with_input(BenchmarkId::new("type_elimination", len), &len, |b, _| {
-            b.iter(|| std::hint::black_box(sys.certain_unary(&d, names[3]).len()))
+            b.iter(|| std::hint::black_box(sys.certain_unary(d.store(), names[3]).len()))
         });
     }
     // Semi-naive vs naive on the medium instance.

@@ -417,10 +417,10 @@ fn e13_types() {
         for n in [50usize, 150, 300] {
             let d = type_bench_instance(n, &labels, r, &mut v);
             let t0 = Instant::now();
-            let slow = sys.instance_types_reference(&d);
+            let slow = sys.instance_types_reference(d.store());
             let ref_ns = t0.elapsed().as_nanos() as u64;
             let t1 = Instant::now();
-            let fast = sys.instance_types(&d);
+            let fast = sys.instance_types(d.store());
             let bit_ns = t1.elapsed().as_nanos() as u64;
             assert_eq!(
                 slow.surviving, fast.surviving,

@@ -157,7 +157,7 @@ mod tests {
         assert!(sys.num_types() >= 64, "only {} types", sys.num_types());
         let d = type_bench_instance(20, &labels, r, &mut v);
         assert!(d.len() >= 40);
-        let it = sys.instance_types(&d);
+        let it = sys.instance_types(d.store());
         assert!(!it.inconsistent);
     }
 }

@@ -43,17 +43,17 @@ pub fn or_assign(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst &= src`, word-parallel; returns whether `dst` changed.
+/// `dst &= src`, word-parallel; returns how many bits of `dst` it
+/// cleared (0 when `dst` did not change).
 #[inline]
-pub fn and_assign(dst: &mut [u64], src: &[u64]) -> bool {
+pub fn and_assign(dst: &mut [u64], src: &[u64]) -> usize {
     debug_assert_eq!(dst.len(), src.len());
-    let mut changed = false;
+    let mut cleared = 0;
     for (d, s) in dst.iter_mut().zip(src) {
-        let next = *d & s;
-        changed |= next != *d;
-        *d = next;
+        cleared += (*d & !s).count_ones() as usize;
+        *d &= s;
     }
-    changed
+    cleared
 }
 
 /// Whether no bit of the row is set.
@@ -201,10 +201,10 @@ mod tests {
         let mut b = vec![0u64; 2];
         set_bit(&mut b, 5);
         assert!(intersects(&a, &b));
-        // AND shrinks a to {5} and reports the change; a second AND is a
-        // fixpoint.
-        assert!(and_assign(&mut a, &b));
-        assert!(!and_assign(&mut a, &b));
+        // AND shrinks a to {5}, reporting the one bit it cleared; a
+        // second AND is a fixpoint.
+        assert_eq!(and_assign(&mut a, &b), 1);
+        assert_eq!(and_assign(&mut a, &b), 0);
         assert_eq!(ones(&a).collect::<Vec<_>>(), vec![5]);
         or_assign(&mut b, &full_row(128));
         assert_eq!(count_ones(&b), 128);

@@ -5,10 +5,9 @@
 //! already bound the first argument of an atom probes a bucket instead of
 //! scanning the whole relation. The [`FactLookup`] trait abstracts over
 //! plain [`Interpretation`]s (which fall back to the per-relation index),
-//! [`IndexedInstance`]s, [`DeltaView`]s (the tail of a store past a
-//! frontier — a round's newly derived facts as an id range) and
-//! [`PrefixView`]s (the head before a frontier), letting evaluation code
-//! be written once and run over any of them.
+//! [`IndexedInstance`]s and [`DeltaView`]s (the tail of a store past a
+//! frontier — a round's newly derived facts as an id range), letting
+//! evaluation code be written once and run over any of them.
 
 use crate::fact::{Fact, Term};
 use crate::interpretation::Interpretation;
@@ -315,49 +314,6 @@ impl<L: FactLookup> FactLookup for DeltaView<'_, L> {
     }
 }
 
-/// The head of a base lookup before a fact-id frontier: the facts with
-/// id `< until`, i.e. exactly the facts that existed when the frontier
-/// was taken — [`DeltaView`]'s mirror.
-///
-/// Exact semi-naive rounds read body atoms *before* the delta atom
-/// through this view, so an instantiation is found only at its first
-/// body atom in the delta instead of once per such atom. Candidates are
-/// the prefix of the base's bucket up to the same binary-search cut.
-/// Membership and liveness delegate to the whole base, as for
-/// [`DeltaView`].
-#[derive(Clone, Copy)]
-pub struct PrefixView<'a, L: FactLookup> {
-    base: &'a L,
-    until: u32,
-}
-
-impl<'a, L: FactLookup> PrefixView<'a, L> {
-    /// Views the facts of `base` with id below `until`.
-    pub fn new(base: &'a L, until: u32) -> Self {
-        PrefixView { base, until }
-    }
-}
-
-impl<L: FactLookup> FactLookup for PrefixView<'_, L> {
-    fn candidate_ids(&self, rel: RelId, first: Option<Term>) -> &[u32] {
-        let ids = self.base.candidate_ids(rel, first);
-        let cut = ids.partition_point(|&i| i < self.until);
-        &ids[..cut]
-    }
-
-    fn fact(&self, id: u32) -> FactRef<'_> {
-        self.base.fact(id)
-    }
-
-    fn contains_slice(&self, rel: RelId, args: &[Term]) -> bool {
-        self.base.contains_slice(rel, args)
-    }
-
-    fn is_live(&self, id: u32) -> bool {
-        self.base.is_live(id)
-    }
-}
-
 /// An explicit id-set delta over a base lookup: the *retraction /
 /// revival* counterpart of [`DeltaView`].
 ///
@@ -585,27 +541,5 @@ mod tests {
         let all = DeltaView::new(&d, 0);
         assert_eq!(all.candidate_ids(r, None).len(), d.rel_len(r));
         assert_eq!(all.from_id(), 0);
-    }
-
-    #[test]
-    fn prefix_view_is_the_delta_views_complement() {
-        let (mut v, mut d) = setup();
-        let r = v.rel("R", 2);
-        let a = Term::Const(v.constant("a"));
-        let frontier = d.len() as u32;
-        d.insert(Fact::consts(r, &[v.constant("a"), v.constant("d")]));
-        let old = PrefixView::new(&d, frontier);
-        let delta = DeltaView::new(&d, frontier);
-        for first in [None, Some(a)] {
-            let mut joined = old.candidate_ids(r, first).to_vec();
-            assert!(joined.iter().all(|&i| i < frontier));
-            joined.extend_from_slice(delta.candidate_ids(r, first));
-            assert_eq!(joined, d.candidate_ids(r, first));
-        }
-        assert_eq!(old.candidate_ids(r, Some(a)).len(), 2);
-        // Membership still sees post-frontier facts.
-        assert!(old.contains_slice(r, &[a, Term::Const(v.constant("d"))]));
-        // A frontier of zero sees nothing.
-        assert!(PrefixView::new(&d, 0).candidate_ids(r, None).is_empty());
     }
 }

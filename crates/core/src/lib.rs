@@ -48,7 +48,7 @@ pub mod treedec;
 
 pub use fact::{Fact, Term};
 pub use hom::{find_homomorphism, Homomorphism};
-pub use index::{DeltaView, FactLookup, IdSetView, IndexedInstance, PrefixView};
+pub use index::{DeltaView, FactLookup, IdSetView, IndexedInstance};
 pub use intern::TermInterner;
 pub use interpretation::{ArityError, Instance, Interpretation};
 pub use query::{Cq, CqAtom, Ucq, VarOrConst};

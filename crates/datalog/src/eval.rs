@@ -7,17 +7,15 @@
 //! chosen greedily by candidate count — smallest relation (or, once the
 //! first argument is bound, smallest index bucket) first.
 //!
-//! A semi-naive pass runs one pivot per positive body atom and reads
-//! three lookups: atoms before the pivot read `old`, the pivot reads the
-//! delta, atoms after it read `total`. [`derive_round_since`] makes
-//! `old` the facts below the frontier, so each instantiation is found
-//! exactly once; [`derive_round`] passes `total` as `old` (the classic
-//! split, which finds a match once per body atom in the delta).
+//! A semi-naive pass runs one pivot per positive body atom: the pivot
+//! reads the delta and every other atom reads `total`, so a match is
+//! found once per body atom in the delta and the duplicates fall away
+//! when the staged facts are interned.
 
 use crate::program::{DAtom, DTerm, Literal, Program, Rule};
 use gomq_core::{
-    DeltaView, FactBuf, FactLookup, FactRef, IndexedInstance, Instance, Interpretation, PrefixView,
-    RelId, StoreStats, Term,
+    DeltaView, FactBuf, FactLookup, FactRef, IndexedInstance, Instance, Interpretation, RelId,
+    StoreStats, Term,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -321,17 +319,13 @@ impl Program {
 /// past the previous round's frontier). Every atom other than the delta
 /// atom reads all of `total`, so an instantiation with several body
 /// atoms in the delta is staged once per such atom and the duplicates
-/// fall away when the staged facts are interned. The reference
-/// evaluators ([`Program::fixpoint`], [`fixpoint_traced`]) and
-/// incremental maintenance, whose deltas are not id ranges, keep this
-/// split; the native executor in `gomq-engine` runs the exact
-/// [`derive_round_since`] instead.
+/// fall away when the staged facts are interned.
 pub fn derive_round<T, D>(rules: &[Rule], total: &T, delta: &D, out: &mut FactBuf)
 where
     T: FactLookup + ?Sized,
     D: FactLookup + ?Sized,
 {
-    derive_round_into(rules, total, delta, total, out);
+    derive_round_into(rules, total, delta, out);
 }
 
 /// [`derive_round`] with derivation recording: `out.derivs[i]` records
@@ -342,71 +336,47 @@ where
     T: FactLookup + ?Sized,
     D: FactLookup + ?Sized,
 {
-    derive_round_into(rules, total, delta, total, out);
+    derive_round_into(rules, total, delta, out);
 }
 
-/// One *exact* semi-naive round over the facts of `total` with id at or
-/// above `frontier`: stages the head of every instantiation of `rules`
-/// that uses at least one such fact, each instantiation exactly once.
-///
-/// Body atoms before the delta atom read the facts below the frontier
-/// ([`PrefixView`]), the delta atom reads those past it ([`DeltaView`])
-/// and the atoms after it read all of `total`, so an instantiation is
-/// found only at its first body atom past the frontier. This is the
-/// building block of the stratified parallel evaluator in
-/// `gomq-engine`, which calls it concurrently on disjoint rule
-/// partitions, merging the per-worker [`FactBuf`]s afterwards.
-pub fn derive_round_since<T>(rules: &[Rule], total: &T, frontier: u32, out: &mut FactBuf)
+fn derive_round_into<T, D, E>(rules: &[Rule], total: &T, delta: &D, out: &mut E)
 where
-    T: FactLookup,
-{
-    let old = PrefixView::new(total, frontier);
-    let delta = DeltaView::new(total, frontier);
-    derive_round_into(rules, &old, &delta, total, out);
-}
-
-fn derive_round_into<O, D, T, E>(rules: &[Rule], old: &O, delta: &D, total: &T, out: &mut E)
-where
-    O: FactLookup + ?Sized,
-    D: FactLookup + ?Sized,
     T: FactLookup + ?Sized,
+    D: FactLookup + ?Sized,
     E: Emitter,
 {
     for (i, rule) in rules.iter().enumerate() {
         out.begin_rule(i);
-        derive(rule, old, delta, total, out);
+        derive(rule, total, delta, out);
     }
 }
 
 /// Derives all head facts of `rule` with at least one body atom matched in
 /// `delta` (semi-naive restriction), running one pivot per body atom.
-/// `total` includes `delta` and `old`.
-fn derive<O, D, T, E>(rule: &Rule, old: &O, delta: &D, total: &T, out: &mut E)
+/// `total` includes `delta`.
+fn derive<T, D, E>(rule: &Rule, total: &T, delta: &D, out: &mut E)
 where
-    O: FactLookup + ?Sized,
-    D: FactLookup + ?Sized,
     T: FactLookup + ?Sized,
+    D: FactLookup + ?Sized,
     E: Emitter,
 {
     let atoms: Vec<&DAtom> = rule.positive_atoms().collect();
-    if atoms.is_empty() {
+    // A body atom without a single fact matches nothing.
+    if atoms.is_empty()
+        || atoms
+            .iter()
+            .any(|a| total.candidate_count(a.rel, None) == 0)
+    {
         return;
     }
     // Flat binding frame indexed by variable slot; the matcher restores
     // every slot it fills on backtrack, so one allocation serves all pivots.
     let mut frame: Vec<Option<Term>> = vec![None; rule.num_slots()];
     for pivot in 0..atoms.len() {
-        // Pivot `i` needs old facts for every atom before it (checked
-        // one atom per step) and delta facts for atom `i`. With an empty
-        // `old` — a first pass — only pivot 0 runs.
-        if pivot > 0 && old.candidate_count(atoms[pivot - 1].rel, None) == 0 {
-            break;
-        }
         if delta.candidate_count(atoms[pivot].rel, None) == 0 {
             continue;
         }
         let reads = Reads {
-            old,
             delta,
             total,
             pivot: Some(pivot),
@@ -416,75 +386,62 @@ where
     }
 }
 
-/// Which lookup a body atom reads in one matching pass.
-#[derive(Clone, Copy)]
-enum Side {
-    Old,
-    Delta,
-    Total,
-}
-
-/// The lookups one matching pass reads. With a pivot, body atoms before
-/// it read `old`, the pivot reads `delta` and atoms after it read
-/// `total`; without one (a naive pass) every atom reads `total`.
-struct Reads<'a, O: ?Sized, D: ?Sized, T: ?Sized> {
-    old: &'a O,
+/// The lookups one matching pass reads: the pivot atom reads `delta`
+/// and every other atom `total`; without a pivot (a naive pass) every
+/// atom reads `total`.
+struct Reads<'a, D: ?Sized, T: ?Sized> {
     delta: &'a D,
     total: &'a T,
     pivot: Option<usize>,
 }
 
-impl<O: ?Sized, D: ?Sized, T: ?Sized> Clone for Reads<'_, O, D, T> {
+impl<D: ?Sized, T: ?Sized> Clone for Reads<'_, D, T> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<O: ?Sized, D: ?Sized, T: ?Sized> Copy for Reads<'_, O, D, T> {}
+impl<D: ?Sized, T: ?Sized> Copy for Reads<'_, D, T> {}
 
-impl<'a, O, D, T> Reads<'a, O, D, T>
+impl<'a, D, T> Reads<'a, D, T>
 where
-    O: FactLookup + ?Sized,
     D: FactLookup + ?Sized,
     T: FactLookup + ?Sized,
 {
-    fn side(&self, atom_idx: usize) -> Side {
-        match self.pivot {
-            Some(p) if atom_idx < p => Side::Old,
-            Some(p) if atom_idx == p => Side::Delta,
-            _ => Side::Total,
+    /// Whether atom `atom_idx` reads the delta.
+    fn reads_delta(&self, atom_idx: usize) -> bool {
+        self.pivot == Some(atom_idx)
+    }
+
+    fn candidate_ids(&self, delta: bool, rel: RelId, first: Option<Term>) -> &'a [u32] {
+        if delta {
+            self.delta.candidate_ids(rel, first)
+        } else {
+            self.total.candidate_ids(rel, first)
         }
     }
 
-    fn candidate_ids(&self, side: Side, rel: RelId, first: Option<Term>) -> &'a [u32] {
-        match side {
-            Side::Old => self.old.candidate_ids(rel, first),
-            Side::Delta => self.delta.candidate_ids(rel, first),
-            Side::Total => self.total.candidate_ids(rel, first),
+    fn candidate_count(&self, delta: bool, rel: RelId, first: Option<Term>) -> usize {
+        if delta {
+            self.delta.candidate_count(rel, first)
+        } else {
+            self.total.candidate_count(rel, first)
         }
     }
 
-    fn candidate_count(&self, side: Side, rel: RelId, first: Option<Term>) -> usize {
-        match side {
-            Side::Old => self.old.candidate_count(rel, first),
-            Side::Delta => self.delta.candidate_count(rel, first),
-            Side::Total => self.total.candidate_count(rel, first),
+    fn is_live(&self, delta: bool, id: u32) -> bool {
+        if delta {
+            self.delta.is_live(id)
+        } else {
+            self.total.is_live(id)
         }
     }
 
-    fn is_live(&self, side: Side, id: u32) -> bool {
-        match side {
-            Side::Old => self.old.is_live(id),
-            Side::Delta => self.delta.is_live(id),
-            Side::Total => self.total.is_live(id),
-        }
-    }
-
-    fn fact(&self, side: Side, id: u32) -> FactRef<'a> {
-        match side {
-            Side::Old => self.old.fact(id),
-            Side::Delta => self.delta.fact(id),
-            Side::Total => self.total.fact(id),
+    fn fact(&self, delta: bool, id: u32) -> FactRef<'a> {
+        if delta {
+            self.delta.fact(id)
+        } else {
+            self.total.fact(id)
         }
     }
 }
@@ -501,15 +458,14 @@ fn bound_first(atom: &DAtom, frame: &[Option<Term>]) -> Option<Term> {
 /// Matches the remaining body atoms recursively, choosing at every step
 /// the atom with the fewest candidate facts under the current binding
 /// (each atom counted in the lookup [`Reads`] assigns it).
-fn match_atoms<O, D, T, E>(
+fn match_atoms<D, T, E>(
     rule: &Rule,
     atoms: &[&DAtom],
-    reads: Reads<'_, O, D, T>,
+    reads: Reads<'_, D, T>,
     remaining: &mut Vec<usize>,
     frame: &mut Vec<Option<Term>>,
     out: &mut E,
 ) where
-    O: FactLookup + ?Sized,
     D: FactLookup + ?Sized,
     T: FactLookup + ?Sized,
     E: Emitter,
@@ -535,7 +491,7 @@ fn match_atoms<O, D, T, E>(
     let mut best_cost = usize::MAX;
     for (k, &ai) in remaining.iter().enumerate() {
         let first = bound_first(atoms[ai], frame);
-        let cost = reads.candidate_count(reads.side(ai), atoms[ai].rel, first);
+        let cost = reads.candidate_count(reads.reads_delta(ai), atoms[ai].rel, first);
         if cost < best_cost {
             best_cost = cost;
             best_k = k;
@@ -546,16 +502,16 @@ fn match_atoms<O, D, T, E>(
     }
     let ai = remaining.swap_remove(best_k);
     let atom = atoms[ai];
-    let side = reads.side(ai);
-    for &id in reads.candidate_ids(side, atom.rel, bound_first(atom, frame)) {
+    let delta = reads.reads_delta(ai);
+    for &id in reads.candidate_ids(delta, atom.rel, bound_first(atom, frame)) {
         // Maintained stores keep retracted facts in place with support
         // 0; they are not part of the instance, so the join skips them.
         // For plain stores is_live is a constant `true` and the branch
         // folds away.
-        if !reads.is_live(side, id) {
+        if !reads.is_live(delta, id) {
             continue;
         }
-        let fact = reads.fact(side, id);
+        let fact = reads.fact(delta, id);
         if fact.args.len() != atom.args.len() {
             continue;
         }
@@ -639,7 +595,6 @@ where
         let mut frame: Vec<Option<Term>> = vec![None; rule.num_slots()];
         let mut remaining: Vec<usize> = (0..atoms.len()).collect();
         let reads = Reads {
-            old: total,
             delta: total,
             total,
             pivot: None,
@@ -1017,131 +972,6 @@ mod tests {
         let indexed_set: BTreeSet<Fact> = indexed_out.iter().map(|f| f.to_fact()).collect();
         assert_eq!(plain, indexed_set);
         assert!(!plain.is_empty());
-    }
-
-    /// Brute force: the instantiations of `rule`'s positive atoms over
-    /// `total` that use at least one fact with id `>= frontier`.
-    fn instantiations_since(rule: &Rule, total: &IndexedInstance, frontier: u32) -> usize {
-        fn go(
-            atoms: &[&DAtom],
-            total: &IndexedInstance,
-            frontier: u32,
-            fresh: bool,
-            frame: &mut Vec<Option<Term>>,
-        ) -> usize {
-            let Some((atom, rest)) = atoms.split_first() else {
-                return usize::from(fresh);
-            };
-            let mut n = 0;
-            for &id in total.candidate_ids(atom.rel, None) {
-                let saved = frame.clone();
-                let ok = atom
-                    .args
-                    .iter()
-                    .zip(total.fact(id).args)
-                    .all(|(pat, &t)| match pat {
-                        DTerm::Ground(g) => *g == t,
-                        DTerm::Var(v) => *frame[*v as usize].get_or_insert(t) == t,
-                    });
-                if ok {
-                    n += go(rest, total, frontier, fresh || id >= frontier, frame);
-                }
-                *frame = saved;
-            }
-            n
-        }
-        let atoms: Vec<&DAtom> = rule.positive_atoms().collect();
-        go(
-            &atoms,
-            total,
-            frontier,
-            false,
-            &mut vec![None; rule.num_slots()],
-        )
-    }
-
-    #[test]
-    fn derive_round_since_stages_each_instantiation_once() {
-        let mut v = Vocab::new();
-        let e = v.rel("E", 2);
-        let t = v.rel("T", 2);
-        let h = v.rel("H", 3);
-        let rules = vec![
-            Rule::new(
-                DAtom::vars(t, &[0, 1]),
-                vec![Literal::Pos(DAtom::vars(e, &[0, 1]))],
-            ),
-            // Recursive, with both body atoms in later deltas.
-            Rule::new(
-                DAtom::vars(t, &[0, 2]),
-                vec![
-                    Literal::Pos(DAtom::vars(t, &[0, 1])),
-                    Literal::Pos(DAtom::vars(t, &[1, 2])),
-                ],
-            ),
-            // The head keeps every body variable: one fact per match.
-            Rule::new(
-                DAtom::vars(h, &[0, 1, 2]),
-                vec![
-                    Literal::Pos(DAtom::vars(t, &[0, 1])),
-                    Literal::Pos(DAtom::vars(t, &[1, 2])),
-                ],
-            ),
-        ];
-        let p = Program::new(rules, h);
-        // A path n0→…→n6 plus two input T facts, so the first pass
-        // (frontier 0) already joins T with T.
-        let mut d = path_instance(&mut v, 6);
-        let n = |v: &mut Vocab, i: usize| v.constant(&format!("n{i}"));
-        let (n0, n1, n2) = (n(&mut v, 0), n(&mut v, 1), n(&mut v, 2));
-        d.insert(Fact::consts(t, &[n0, n1]));
-        d.insert(Fact::consts(t, &[n1, n2]));
-        let mut total = IndexedInstance::from_interpretation(&d);
-        let mut frontier = 0u32;
-        let mut rounds = 0;
-        let mut classic_repeats = Vec::new();
-        loop {
-            let mut staged = FactBuf::new();
-            for (i, rule) in p.rules.iter().enumerate() {
-                let mut exact = FactBuf::new();
-                derive_round_since(std::slice::from_ref(rule), &total, frontier, &mut exact);
-                let want = instantiations_since(rule, &total, frontier);
-                assert_eq!(exact.len(), want, "rule {i}, round {rounds}");
-                // Same head facts as the classic round, which finds a
-                // match once per body atom in the delta.
-                let mut classic = FactBuf::new();
-                let delta = DeltaView::new(&total, frontier);
-                derive_round(std::slice::from_ref(rule), &total, &delta, &mut classic);
-                let as_set = |b: &FactBuf| b.iter().map(|f| f.to_fact()).collect::<BTreeSet<_>>();
-                assert_eq!(as_set(&exact), as_set(&classic), "rule {i}, round {rounds}");
-                if i == 2 {
-                    // Distinct instantiations stage distinct facts.
-                    assert_eq!(as_set(&exact).len(), exact.len(), "round {rounds}");
-                    if classic.len() > exact.len() {
-                        classic_repeats.push(rounds);
-                    }
-                }
-                staged.append(&mut exact);
-            }
-            rounds += 1;
-            frontier = total.len() as u32;
-            for f in staged.iter() {
-                total.insert_ref(f.rel, f.args);
-            }
-            if total.len() == frontier as usize {
-                break;
-            }
-        }
-        assert!(rounds >= 3);
-        // The classic round repeats H matches on the first pass and in a
-        // later round; the exact one never does.
-        assert_eq!(classic_repeats.first(), Some(&0));
-        assert!(classic_repeats.len() >= 2, "{classic_repeats:?}");
-        let (reference, _) = p.fixpoint(&d);
-        assert_eq!(total.len(), reference.len());
-        assert!(reference
-            .iter()
-            .all(|f| total.contains_slice(f.rel, f.args)));
     }
 
     #[test]

@@ -341,6 +341,39 @@ mod tests {
     }
 
     #[test]
+    fn strata_order_is_bodies_first() {
+        let mut v = Vocab::new();
+        let e = v.rel("E", 2);
+        let t = v.rel("T", 2);
+        let s = v.rel("S", 2);
+        let g = v.rel("goal", 2);
+        // A closure, a second layer on top of it and the goal: three
+        // strata, each after the strata its bodies read.
+        let p = Program::new(
+            vec![
+                Rule::new(DAtom::vars(g, &[0, 1]), vec![pos(s, &[0, 1])]),
+                Rule::new(
+                    DAtom::vars(s, &[0, 1]),
+                    vec![pos(t, &[0, 1]), Literal::Neq(DTerm::Var(0), DTerm::Var(1))],
+                ),
+                Rule::new(DAtom::vars(t, &[0, 1]), vec![pos(e, &[0, 1])]),
+                Rule::new(
+                    DAtom::vars(t, &[0, 2]),
+                    vec![pos(t, &[0, 1]), pos(e, &[1, 2])],
+                ),
+            ],
+            g,
+        );
+        let heads: Vec<BTreeSet<RelId>> = PlanIr::of(&p)
+            .strata
+            .iter()
+            .map(|s| s.rules.iter().map(|r| r.head.rel).collect())
+            .collect();
+        let expected: Vec<BTreeSet<RelId>> = [t, s, g].iter().map(|&r| [r].into()).collect();
+        assert_eq!(heads, expected);
+    }
+
+    #[test]
     fn layered_ucq_shape_is_first_order() {
         let mut v = Vocab::new();
         let e = v.rel("E", 2);

@@ -1,14 +1,14 @@
-//! Executor backends over the shared plan IR.
+//! Executor backends.
 //!
-//! [`OmqPlan::compile`](crate::plan::OmqPlan) lowers an OMQ to a
-//! [`gomq_datalog::ir::PlanIr`] — a stratified rule graph annotated
-//! with recursion and `≠` information — and every backend consumes that
-//! one IR:
+//! [`OmqPlan::compile`](crate::plan::OmqPlan) compiles an OMQ once into
+//! an element-type system (with its bitset kernel) and the Datalog≠
+//! rewriting emitted from it, and each backend runs one of the two:
 //!
-//! * [`native`] — the in-process semi-naive fixpoint engine (indexed,
-//!   parallel, budgeted). Runs every plan, recursive or not.
+//! * [`native`] — the plan's bitset type kernel (budgeted, parallel
+//!   across the ABoxes of a batch). Runs every plan, recursive or not.
 //! * [`sql`] — executes the portable SQL emitted by
-//!   `gomq_rewriting::emit_sql` against the zero-dependency
+//!   `gomq_rewriting::emit_sql` from the rewriting's SCC strata (a
+//!   [`gomq_datalog::ir::PlanIr`]) against the zero-dependency
 //!   `gomq-sqlexec` table model. Only non-recursive plans (the
 //!   [`Rewritability::FirstOrder`](gomq_datalog::ir::Rewritability)
 //!   tier) are SQL-expressible; recursive plans get a typed
@@ -23,7 +23,7 @@ pub mod sql;
 /// `gomq-serve --backend` default flag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The semi-naive fixpoint engine ([`native`]); the default.
+    /// The bitset type kernel ([`native`]); the default.
     #[default]
     Native,
     /// The emitted-SQL path ([`sql`]); refuses recursive plans.

@@ -1,444 +1,105 @@
-//! The native backend: stratified, indexed, parallel Datalog≠ evaluation.
+//! The native backend: plain requests answered by the plan's bitset
+//! type kernel.
 //!
-//! The one-shot evaluator in `gomq-datalog` re-runs every rule of the
-//! program in every fixpoint round. This module consumes the
-//! backend-agnostic [`PlanIr`] (one SCC stratum at a time, bodies-first
-//! order — see `gomq_datalog::ir`) and:
+//! Theorem 5's rewriting is type elimination — one `elim_θ` predicate
+//! per surviving element type — and every compiled plan carries that
+//! same computation as the bit-parallel AC-3 kernel of its
+//! [`ElementTypeSystem`](gomq_rewriting::ElementTypeSystem) (DESIGN.md
+//! §7). The kernel propagates surviving-type rows over the ABox's
+//! signature domain and reads the certain answers off them, without
+//! materializing a single fact, so it answers every plain request:
+//! one-shot queries, `"aboxes"` batches and session reads with view
+//! maintenance off.
 //!
-//! 1. runs one semi-naive fixpoint per stratum, so rules whose inputs
-//!    are already saturated are never revisited (a non-recursive
-//!    stratum saturates in a single pass);
-//! 2. makes every round *exact* ([`derive_round_since`]): a rule runs
-//!    one pivot per body atom, the pivot reads the round's delta (ids
-//!    past the frontier), atoms before it read only the old facts (ids
-//!    below it) and atoms after it read the whole store. An
-//!    instantiation is therefore found once, at its first body atom in
-//!    the delta, not once per such atom; a stratum's first pass (empty
-//!    old part) runs pivot 0 alone;
-//! 3. evaluates against [`IndexedInstance`]s, so joins with a bound
-//!    first argument probe a hash bucket instead of scanning;
-//! 4. splits the rules of a stratum across a scoped worker pool within
-//!    each round ([`std::thread::scope`] — no external dependencies),
-//!    merging the per-worker derivations into the next delta.
-//!
-//! [`eval_program`] is answer-equivalent to [`Program::eval`]; the
-//! property tests in `tests/engine_props.rs` check exactly that, and
-//! `tests/sql_crosscheck.rs` checks it against the SQL backend. Those
-//! oracles, the certificate path (`fixpoint_traced`) and incremental
-//! maintenance keep the classic split in which every non-pivot atom
-//! reads the whole store (see `gomq_datalog::derive_round`).
+//! The Datalog≠ program stays the reference: certified answers run its
+//! traced fixpoint (a certificate cites derivations), maintained views
+//! run incremental maintenance over it, and the SQL backend runs its
+//! emitted SQL. `tests/engine_props.rs` checks that served kernel
+//! answers equal [`Program::eval`](gomq_datalog::Program::eval) on
+//! random OMQs, and `tests/sql_crosscheck.rs` that they equal the SQL
+//! backend's.
 
-use gomq_core::{FactBuf, IndexedInstance, Instance, RelId, Term};
-use gomq_datalog::eval::EvalStats;
-use gomq_datalog::ir::{PlanIr, StratumIr};
-use gomq_datalog::{derive_round_since, Budget, BudgetExceeded, Program, Rule};
+use crate::plan::OmqPlan;
+use gomq_core::{FactStore, IndexedInstance, Term};
+use gomq_datalog::{Budget, BudgetExceeded};
+use gomq_rewriting::TypeStats;
 use std::collections::BTreeSet;
 
-/// Backward-compatible name for the shared [`PlanIr`]: the native
-/// executor predates the backend split and its callers construct and
-/// pass "strata".
-pub type Strata = PlanIr;
+/// An answer set paired with the counters of the kernel run.
+pub type KernelOutcome = (BTreeSet<Vec<Term>>, TypeStats);
 
-/// Backward-compatible name for [`StratumIr`].
-pub type Stratum = StratumIr;
-
-/// Minimum number of delta facts per round before a round is worth
-/// splitting across threads; below this the spawn overhead dominates.
-const PARALLEL_DELTA_THRESHOLD: usize = 64;
-
-/// One exact semi-naive round over `rules`, split across `threads`
-/// workers.
-///
-/// The round's delta is the id range of `total` past `frontier` and its
-/// old facts the range below it ([`derive_round_since`] — no delta set
-/// is materialized, let alone cloned); staged head facts land in the
-/// columnar `out` buffer, per-worker buffers being merged with bulk
-/// [`FactBuf::append`]s.
-fn parallel_round(
-    rules: &[Rule],
-    total: &IndexedInstance,
-    frontier: u32,
-    threads: usize,
-    out: &mut FactBuf,
-) {
-    let delta_len = total.len() - frontier as usize;
-    let workers = threads.min(rules.len()).max(1);
-    if workers == 1 || delta_len < PARALLEL_DELTA_THRESHOLD {
-        derive_round_since(rules, total, frontier, out);
-        return;
-    }
-    let chunk_size = rules.len().div_ceil(workers);
-    let chunks: Vec<&[Rule]> = rules.chunks(chunk_size).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut buf = FactBuf::new();
-                    derive_round_since(chunk, total, frontier, &mut buf);
-                    buf
-                })
-            })
-            .collect();
-        for h in handles {
-            // Re-raise worker panics on the calling thread so the serving
-            // layer's catch_unwind isolates them per request.
-            let mut buf = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            out.append(&mut buf);
-        }
-    });
-}
-
-/// Interns the staged facts into `total` (slice interning — the only
-/// copy is the new facts' arguments landing in the arena) and returns
-/// how many were new. The next round's delta is `total`'s id range past
-/// the pre-absorb frontier.
-fn absorb(staged: &FactBuf, total: &mut IndexedInstance) -> usize {
-    let before = total.len();
-    for f in staged.iter() {
-        total.insert_ref(f.rel, f.args);
-    }
-    total.len() - before
-}
-
-/// Runs the semi-naive fixpoint of one stratum on top of `total`,
-/// checking the cooperative budget between rounds.
-fn fixpoint_stratum(
-    stratum: &StratumIr,
-    total: &mut IndexedInstance,
-    threads: usize,
-    stats: &mut EvalStats,
+/// Answers `plan` over the live facts of `d` under a cooperative
+/// resource [`Budget`]: kernel passes count as rounds and (element,
+/// type) eliminations as derived facts.
+pub fn eval_kernel(
+    plan: &OmqPlan,
+    d: &FactStore,
     budget: &Budget,
-) -> Result<(), BudgetExceeded> {
-    budget.check(stats)?;
-    // First pass: every fact so far is "new" for this stratum, so the
-    // delta view starts at id 0 (the whole saturated total). The pass is
-    // complete for the stratum's inputs because earlier strata are
-    // already saturated.
-    gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
-    stats.rounds = stats.rounds.saturating_add(1);
-    let mut staged = FactBuf::new();
-    parallel_round(&stratum.rules, total, 0, threads, &mut staged);
-    let mut frontier = total.len() as u32;
-    stats.derived = stats.derived.saturating_add(absorb(&staged, total));
-    if !stratum.recursive {
-        // Heads never feed bodies within this stratum: one pass is the
-        // fixpoint, skip the would-be-empty confirmation round.
-        return Ok(());
-    }
-    while (frontier as usize) < total.len() {
-        budget.check(stats)?;
-        gomq_core::faults::point(gomq_core::faults::EVAL_ROUND);
-        stats.rounds = stats.rounds.saturating_add(1);
-        staged.clear();
-        parallel_round(&stratum.rules, total, frontier, threads, &mut staged);
-        frontier = total.len() as u32;
-        stats.derived = stats.derived.saturating_add(absorb(&staged, total));
-    }
-    Ok(())
+) -> Result<KernelOutcome, BudgetExceeded> {
+    let (elements, stats) = plan.types.certain_unary_budgeted(d, plan.query, budget)?;
+    Ok((elements.into_iter().map(|t| vec![t]).collect(), stats))
 }
 
-/// An answer set paired with its evaluation statistics.
-pub type EvalOutcome = (BTreeSet<Vec<Term>>, EvalStats);
-
-/// Evaluates `strata` (from `program`) over an indexed instance with up
-/// to `threads` workers; returns the goal tuples and statistics.
-///
-/// Answer-equivalent to [`Program::eval`] on the corresponding plain
-/// instance.
-pub fn eval_strata(
-    strata: &PlanIr,
-    goal: RelId,
-    d: &IndexedInstance,
-    threads: usize,
-) -> EvalOutcome {
-    eval_strata_budgeted(strata, goal, d, threads, &Budget::UNLIMITED)
-        .expect("the unlimited budget cannot be exceeded")
-}
-
-/// [`eval_strata`] under a cooperative resource [`Budget`]: rounds,
-/// derived-fact fuel and the wall-clock deadline are checked between
-/// rounds (a pathological request stops with [`BudgetExceeded`] instead
-/// of monopolizing the session; the work done so far is discarded).
-pub fn eval_strata_budgeted(
-    strata: &PlanIr,
-    goal: RelId,
-    d: &IndexedInstance,
-    threads: usize,
-    budget: &Budget,
-) -> Result<EvalOutcome, BudgetExceeded> {
-    // Clones the EDB's store columns wholesale (no per-fact work); every
-    // round then appends into this one arena.
-    let mut total = d.clone();
-    let mut stats = EvalStats::default();
-    for stratum in &strata.strata {
-        fixpoint_stratum(stratum, &mut total, threads, &mut stats, budget)?;
-    }
-    let answers = total.facts_of(goal).map(|f| f.args.to_vec()).collect();
-    stats.store = total.store_stats();
-    Ok((answers, stats))
-}
-
-/// Stratifies and evaluates `program` in one call (plan-less entry
-/// point; `gomq-engine` plans cache the [`PlanIr`] instead).
-pub fn eval_program(
-    program: &Program,
-    d: &IndexedInstance,
-    threads: usize,
-) -> (BTreeSet<Vec<Term>>, EvalStats) {
-    eval_strata(&PlanIr::of(program), program.goal, d, threads)
-}
-
-/// Evaluates one stratified plan against many instances concurrently
-/// (one instance per worker, work-stealing via an atomic cursor).
+/// Answers `plan` over a batch of ABoxes on up to `threads` scoped
+/// workers, each taking one contiguous run of the batch. Round and
+/// elimination budgets apply per ABox; the deadline is shared wall
+/// clock. Outcomes come back in input order, and the first blown budget
+/// in input order fails the whole batch.
 pub fn eval_batch(
-    strata: &PlanIr,
-    goal: RelId,
-    aboxes: &[IndexedInstance],
-    threads: usize,
-) -> Vec<EvalOutcome> {
-    eval_batch_budgeted(strata, goal, aboxes, threads, &Budget::UNLIMITED)
-        .expect("the unlimited budget cannot be exceeded")
-}
-
-/// [`eval_batch`] under a cooperative [`Budget`]. Round and
-/// derived-fact fuel apply *per ABox*; the deadline is shared wall
-/// clock. The first exhausted ABox fails the whole batch (remaining
-/// workers drain quickly: each checks the budget between rounds).
-pub fn eval_batch_budgeted(
-    strata: &PlanIr,
-    goal: RelId,
+    plan: &OmqPlan,
     aboxes: &[IndexedInstance],
     threads: usize,
     budget: &Budget,
-) -> Result<Vec<EvalOutcome>, BudgetExceeded> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+) -> Result<Vec<KernelOutcome>, BudgetExceeded> {
+    let run = |d: &IndexedInstance| eval_kernel(plan, d.store(), budget);
     let workers = threads.min(aboxes.len()).max(1);
-    if workers <= 1 {
-        return aboxes
-            .iter()
-            .map(|d| eval_strata_budgeted(strata, goal, d, threads, budget))
-            .collect();
+    if workers == 1 {
+        return aboxes.iter().map(run).collect();
     }
-    let cursor = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<EvalOutcome, BudgetExceeded>>>> =
-        aboxes.iter().map(|_| Mutex::new(None)).collect();
+    let run = &run;
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= aboxes.len() {
-                    break;
-                }
-                // Each worker evaluates its instance single-threaded;
-                // parallelism comes from the batch dimension here.
-                let r = eval_strata_budgeted(strata, goal, &aboxes[i], 1, budget);
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
-/// Convenience: index a plain instance and evaluate (used by tests and
-/// by callers that hold plain [`Instance`]s).
-pub fn eval_plain(
-    program: &Program,
-    d: &Instance,
-    threads: usize,
-) -> (BTreeSet<Vec<Term>>, EvalStats) {
-    eval_program(program, &IndexedInstance::from_interpretation(d), threads)
+        let handles: Vec<_> = aboxes
+            .chunks(aboxes.len().div_ceil(workers))
+            .map(|part| scope.spawn(move || part.iter().map(run).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            // Re-raise worker panics on the calling thread so the
+            // serving layer's catch_unwind isolates them per request.
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gomq_core::{Fact, Vocab};
-    use gomq_datalog::{DAtom, DTerm, Literal};
-
-    fn tc_program(v: &mut Vocab) -> Program {
-        let e = v.rel("E", 2);
-        let t = v.rel("T", 2);
-        let s = v.rel("S", 2);
-        let g = v.rel("goal", 2);
-        Program::new(
-            vec![
-                Rule::new(
-                    DAtom::vars(t, &[0, 1]),
-                    vec![Literal::Pos(DAtom::vars(e, &[0, 1]))],
-                ),
-                Rule::new(
-                    DAtom::vars(t, &[0, 2]),
-                    vec![
-                        Literal::Pos(DAtom::vars(t, &[0, 1])),
-                        Literal::Pos(DAtom::vars(e, &[1, 2])),
-                    ],
-                ),
-                // A second layer on top of T, so there are ≥ 3 strata.
-                Rule::new(
-                    DAtom::vars(s, &[0, 1]),
-                    vec![
-                        Literal::Pos(DAtom::vars(t, &[0, 1])),
-                        Literal::Neq(DTerm::Var(0), DTerm::Var(1)),
-                    ],
-                ),
-                Rule::new(
-                    DAtom::vars(g, &[0, 1]),
-                    vec![Literal::Pos(DAtom::vars(s, &[0, 1]))],
-                ),
-            ],
-            g,
-        )
-    }
-
-    fn cycle(v: &mut Vocab, n: usize) -> Instance {
-        let e = v.rel("E", 2);
-        let mut d = Instance::new();
-        for i in 0..n {
-            let a = v.constant(&format!("c{i}"));
-            let b = v.constant(&format!("c{}", (i + 1) % n));
-            d.insert(Fact::consts(e, &[a, b]));
-        }
-        d
-    }
-
-    #[test]
-    fn strata_order_is_bodies_first() {
-        let mut v = Vocab::new();
-        let p = tc_program(&mut v);
-        let strata = Strata::of(&p);
-        assert_eq!(strata.len(), 3);
-        let t = v.rel("T", 2);
-        let s = v.rel("S", 2);
-        let g = v.rel("goal", 2);
-        let heads: Vec<BTreeSet<RelId>> = strata
-            .strata
-            .iter()
-            .map(|s| s.rules.iter().map(|r| r.head.rel).collect())
-            .collect();
-        assert_eq!(heads[0], [t].into_iter().collect());
-        assert_eq!(heads[1], [s].into_iter().collect());
-        assert_eq!(heads[2], [g].into_iter().collect());
-    }
-
-    #[test]
-    fn stratified_matches_one_shot() {
-        let mut v = Vocab::new();
-        let p = tc_program(&mut v);
-        let d = cycle(&mut v, 7);
-        let expected = p.eval(&d);
-        for threads in [1, 4] {
-            let (got, stats) = eval_plain(&p, &d, threads);
-            assert_eq!(got, expected, "threads = {threads}");
-            assert!(stats.rounds >= 3);
-        }
-        assert_eq!(expected.len(), 7 * 6);
-    }
-
-    #[test]
-    fn worker_rounds_match_sequential_rounds() {
-        // Transitive closure by doubling, T(x,z) :- T(x,y), T(y,z): on a
-        // 16-cycle the round deltas grow 16, 16, 32, 64, 128, so the
-        // last rounds take the worker branch (a linear closure on an
-        // n-cycle only ever has deltas of n).
-        let mut v = Vocab::new();
-        let e = v.rel("E", 2);
-        let t = v.rel("T", 2);
-        let g = v.rel("goal", 2);
-        let p = Program::new(
-            vec![
-                Rule::new(
-                    DAtom::vars(t, &[0, 1]),
-                    vec![Literal::Pos(DAtom::vars(e, &[0, 1]))],
-                ),
-                Rule::new(
-                    DAtom::vars(t, &[0, 2]),
-                    vec![
-                        Literal::Pos(DAtom::vars(t, &[0, 1])),
-                        Literal::Pos(DAtom::vars(t, &[1, 2])),
-                    ],
-                ),
-                Rule::new(
-                    DAtom::vars(g, &[0, 1]),
-                    vec![
-                        Literal::Pos(DAtom::vars(t, &[0, 1])),
-                        Literal::Neq(DTerm::Var(0), DTerm::Var(1)),
-                    ],
-                ),
-            ],
-            g,
-        );
-        let d = cycle(&mut v, 16);
-        let strata = Strata::of(&p);
-        let closure = &strata.strata[0].rules;
-        assert_eq!(closure.len(), 2);
-        // Round by round, four threads stage what one thread stages.
-        let mut total = IndexedInstance::from_interpretation(&d);
-        let mut frontier = 0u32;
-        let mut widest = 0;
-        loop {
-            widest = widest.max(total.len() - frontier as usize);
-            let mut one = FactBuf::new();
-            parallel_round(closure, &total, frontier, 1, &mut one);
-            let mut four = FactBuf::new();
-            parallel_round(closure, &total, frontier, 4, &mut four);
-            assert_eq!(
-                one.iter().collect::<Vec<_>>(),
-                four.iter().collect::<Vec<_>>()
-            );
-            frontier = total.len() as u32;
-            if absorb(&one, &mut total) == 0 {
-                break;
-            }
-        }
-        assert!(widest >= PARALLEL_DELTA_THRESHOLD, "widest delta {widest}");
-        // End to end: the same answers, derivations and duplicates.
-        let expected = p.eval(&d);
-        assert_eq!(expected.len(), 16 * 15);
-        let (one, one_stats) = eval_plain(&p, &d, 1);
-        let (four, four_stats) = eval_plain(&p, &d, 4);
-        assert_eq!(one, expected);
-        assert_eq!(four, expected);
-        assert_eq!(one_stats.rounds, four_stats.rounds);
-        assert_eq!(one_stats.derived, four_stats.derived);
-        assert_eq!(one_stats.store.dedup_hits, four_stats.store.dedup_hits);
-    }
+    use gomq_core::parse::parse_instance;
+    use gomq_core::Vocab;
+    use gomq_dl::parser::parse_ontology;
+    use gomq_dl::translate::to_gf;
 
     #[test]
     fn batch_matches_individual_evaluation() {
         let mut v = Vocab::new();
-        let p = tc_program(&mut v);
-        let strata = Strata::of(&p);
-        let aboxes: Vec<IndexedInstance> = (3..9)
-            .map(|n| IndexedInstance::from_interpretation(&cycle(&mut v, n)))
+        let dl = parse_ontology("A sub ex R.B\nex R.B sub C\nC sub D\n", &mut v).unwrap();
+        let d_rel = v.find_rel("D").unwrap();
+        let plan = OmqPlan::compile(&to_gf(&dl), d_rel, &mut v).unwrap();
+        let aboxes: Vec<IndexedInstance> = (0..7)
+            .map(|n| {
+                let text: String = (0..n)
+                    .map(|i| format!("R(c{i},c{})\nB(c{})\n", i + 1, i + 1))
+                    .collect();
+                IndexedInstance::from_instance(parse_instance(&text, &mut v).unwrap())
+            })
             .collect();
-        let batch = eval_batch(&strata, p.goal, &aboxes, 4);
+        let batch = eval_batch(&plan, &aboxes, 4, &Budget::UNLIMITED).unwrap();
         assert_eq!(batch.len(), aboxes.len());
         for (i, d) in aboxes.iter().enumerate() {
-            let (individual, _) = eval_strata(&strata, p.goal, d, 1);
+            let (individual, _) = eval_kernel(&plan, d.store(), &Budget::UNLIMITED).unwrap();
             assert_eq!(batch[i].0, individual, "abox {i}");
+            assert_eq!(individual, plan.program.eval(&d.to_interpretation()));
+            assert_eq!(individual.len(), i, "every R-source is certainly D");
         }
-    }
-
-    #[test]
-    fn empty_program_and_goal_edb_facts() {
-        let mut v = Vocab::new();
-        let g = v.rel("goal", 1);
-        let p = Program::new(vec![], g);
-        let a = v.constant("a");
-        let mut d = Instance::new();
-        d.insert(Fact::consts(g, &[a]));
-        // Goal facts already in the EDB are answers, as in Program::eval.
-        let (ans, _) = eval_plain(&p, &d, 2);
-        assert_eq!(ans, p.eval(&d));
-        assert_eq!(ans.len(), 1);
     }
 }

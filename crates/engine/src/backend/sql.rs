@@ -4,11 +4,12 @@
 //! portable SQL text (`gomq_rewriting::emit_sql`); this module runs
 //! that text against the request's ABox using the dependency-free
 //! `gomq-sqlexec` reference executor. The pipeline is deliberately
-//! different from the native fixpoint at every layer — emitted text
-//! instead of rule structs, string tables instead of interned term
-//! arenas, nested-loop SQL evaluation instead of semi-naive rounds —
-//! which is exactly what makes the native ≡ SQL cross-check in
-//! `tests/sql_crosscheck.rs` meaningful.
+//! different from the native backend at every layer — the Datalog≠
+//! rewriting's emitted text instead of the type kernel's bitset rows,
+//! string tables instead of interned terms, nested-loop SQL evaluation
+//! instead of arc-consistency propagation — which is exactly what makes
+//! the served ≡ SQL cross-check in `tests/sql_crosscheck.rs`
+//! meaningful.
 //!
 //! Recursive plans never reach this module: callers surface
 //! [`EngineError::NotSqlRewritable`] (wire status
@@ -116,7 +117,8 @@ mod tests {
         let indexed = IndexedInstance::from_interpretation(&abox);
         let got = eval_sql_budgeted(sql, &indexed, &v, &Budget::UNLIMITED).unwrap();
         let (native, _) =
-            crate::backend::native::eval_strata(&plan.strata, plan.program.goal, &indexed, 1);
+            crate::backend::native::eval_kernel(&plan, indexed.store(), &Budget::UNLIMITED)
+                .unwrap();
         assert_eq!(got, native);
         assert_eq!(got.len(), 2);
     }

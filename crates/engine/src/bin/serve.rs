@@ -43,11 +43,12 @@ Usage: gomq-serve [--threads N] [--cache N] [--max-rounds N]
                   [--promote-on-disconnect] [--max-staleness-lsn N]
                   [--epoch N]
 
-  --threads N          worker threads for evaluation (default: all cores;
-                       0 also means all cores, with a warning)
+  --threads N          worker threads for an \"aboxes\" batch (default: all
+                       cores; 0 also means all cores, with a warning)
   --cache N            plan-cache capacity; older plans are LRU-evicted
-  --max-rounds N       per-request fixpoint-round ceiling
-  --max-derived N      per-request derived-fact ceiling (per ABox in a batch)
+  --max-rounds N       per-request ceiling on fixpoint rounds or kernel passes
+  --max-derived N      per-request ceiling on derived facts or kernel
+                       eliminations (per ABox in a batch)
   --timeout-ms N       per-request wall-clock deadline in milliseconds
   --data-dir PATH      persist the session ABox: WAL + snapshots in PATH,
                        recovered on startup (exact pre-crash store)

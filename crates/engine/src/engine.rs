@@ -1,16 +1,17 @@
 //! The engine facade: cache + executor + statistics.
 
-use crate::backend::native::{eval_batch_budgeted, eval_strata_budgeted};
+use crate::backend::native::{eval_batch, eval_kernel};
 use crate::cache::{lock_recover, PlanCache, PlanOutcome};
 use crate::plan::{EngineError, OmqPlan};
 use crate::stats::{EngineStats, Metrics, RequestStats};
-use gomq_core::{FactId, IndexedInstance, Instance, RelId, Term, Vocab};
+use gomq_core::{FactId, FactStore, IndexedInstance, Instance, RelId, Term, Vocab};
 use gomq_datalog::Budget;
 use gomq_logic::GfOntology;
+use gomq_rewriting::TypeStats;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-plan circuit-breaker state: consecutive evaluation failures and
 /// whether the breaker has latched open.
@@ -24,9 +25,10 @@ struct Breaker {
 /// [`RequestStats`] — the result of a batch evaluation.
 pub type BatchAnswers = (Vec<BTreeSet<Vec<Term>>>, RequestStats);
 
-/// A caching, indexed, parallel OMQ serving engine.
+/// A caching OMQ serving engine.
 ///
-/// One `Engine` owns a [`PlanCache`] and a thread budget; it is shared
+/// One `Engine` owns a [`PlanCache`] and a thread budget (the workers
+/// of an `"aboxes"` batch); it is shared
 /// per serving process, together with a single [`Vocab`] (plans hold
 /// interned relation ids, so a plan compiled under one vocabulary must
 /// not be evaluated under another). For concurrent use, share the vocab
@@ -58,7 +60,7 @@ impl Engine {
         Self::with_threads(threads)
     }
 
-    /// An engine with an explicit worker budget (1 = sequential).
+    /// An engine with an explicit batch worker budget (1 = sequential).
     pub fn with_threads(threads: usize) -> Self {
         Self::with_cache(threads, PlanCache::new())
     }
@@ -163,7 +165,8 @@ impl Engine {
 
     /// Answers one plan against one plain ABox.
     pub fn answer(&self, plan: &OmqPlan, abox: &Instance) -> (BTreeSet<Vec<Term>>, RequestStats) {
-        self.answer_indexed(plan, &IndexedInstance::from_interpretation(abox))
+        self.answer_store(plan, abox.store(), &Budget::UNLIMITED)
+            .expect("the unlimited budget cannot be exceeded")
     }
 
     /// Answers one plan against one pre-indexed ABox.
@@ -180,23 +183,29 @@ impl Engine {
     /// resource [`Budget`]; a blown budget returns
     /// [`EngineError::Overloaded`] and counts in
     /// [`EngineStats::overloaded`], leaving the engine fully serviceable.
+    ///
+    /// The plan's bitset type kernel answers ([`crate::backend::native`]):
+    /// the stats' `rounds` are its propagation passes and `derived` its
+    /// (element, type) eliminations.
     pub fn answer_indexed_budgeted(
         &self,
         plan: &OmqPlan,
         abox: &IndexedInstance,
         budget: &Budget,
     ) -> Result<(BTreeSet<Vec<Term>>, RequestStats), EngineError> {
+        self.answer_store(plan, abox.store(), budget)
+    }
+
+    fn answer_store(
+        &self,
+        plan: &OmqPlan,
+        d: &FactStore,
+        budget: &Budget,
+    ) -> Result<(BTreeSet<Vec<Term>>, RequestStats), EngineError> {
         let t0 = Instant::now();
-        match eval_strata_budgeted(&plan.strata, plan.program.goal, abox, self.threads, budget) {
-            Ok((answers, eval_stats)) => {
-                let stats = RequestStats {
-                    eval: t0.elapsed(),
-                    rounds: eval_stats.rounds,
-                    derived: eval_stats.derived,
-                    answers: answers.len(),
-                    store: eval_stats.store,
-                    ..RequestStats::default()
-                };
+        match eval_kernel(plan, d, budget) {
+            Ok((answers, type_stats)) => {
+                let stats = kernel_stats(t0.elapsed(), answers.len(), type_stats);
                 self.metrics.absorb(&stats);
                 Ok((answers, stats))
             }
@@ -255,31 +264,15 @@ impl Engine {
     }
 
     /// Answers one plan against one pre-indexed ABox with a derivation
-    /// certificate attached. Evaluation runs the *traced* flat fixpoint
-    /// (answer-equivalent to the stratified path — strata only order
-    /// work) recording one witness per derived fact; the certificate is
-    /// then assembled by walking the witnesses backwards from the goal
-    /// facts. `snapshot` is the session position to bind the
-    /// certificate to, or `None` when the ABox came with the request.
-    /// The vocabulary is locked only during certificate rendering,
-    /// never across evaluation.
+    /// certificate attached. Evaluation runs the Datalog≠ rewriting's
+    /// *traced* flat fixpoint (answer-equivalent to the kernel, which
+    /// derives no facts to cite) recording one witness per derived
+    /// fact; the certificate is then assembled by walking the witnesses
+    /// backwards from the goal facts. `snapshot` is the session position
+    /// to bind the certificate to, or `None` when the ABox came with the
+    /// request. The vocabulary is locked only during certificate
+    /// rendering, never across evaluation.
     pub fn answer_indexed_certified(
-        &self,
-        plan: &OmqPlan,
-        abox: &IndexedInstance,
-        budget: &Budget,
-        vocab: &Mutex<Vocab>,
-        snapshot: Option<(u64, u64)>,
-    ) -> Result<(BTreeSet<Vec<Term>>, String, RequestStats), EngineError> {
-        let (answers, cert, stats) = self.certified_eval(plan, abox, budget, vocab, snapshot)?;
-        self.metrics.absorb(&stats);
-        Ok((answers, cert, stats))
-    }
-
-    /// The traced evaluation + certificate assembly shared by the
-    /// certified entry points. Does *not* fold the request into the
-    /// cumulative totals — each public caller absorbs exactly once.
-    fn certified_eval(
         &self,
         plan: &OmqPlan,
         abox: &IndexedInstance,
@@ -328,75 +321,13 @@ impl Engine {
             cert_bytes: cert.len(),
             ..RequestStats::default()
         };
-        Ok((answers, cert, stats))
-    }
-
-    /// Answers one plan against one plain ABox through the plan's bitset
-    /// type kernel instead of Datalog evaluation: one AC-3 propagation
-    /// over the ABox, then certain-answer extraction. Agrees with
-    /// [`Engine::answer`] (both realize the Theorem-5 computation) while
-    /// skipping fact materialization entirely; requires a unary query
-    /// relation.
-    pub fn answer_typed(
-        &self,
-        plan: &OmqPlan,
-        abox: &Instance,
-    ) -> (BTreeSet<Vec<Term>>, RequestStats) {
-        let t0 = Instant::now();
-        let (elems, type_stats) = plan.types.certain_unary_with_stats(abox, plan.query);
-        let answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
-        let stats = RequestStats {
-            eval: t0.elapsed(),
-            answers: answers.len(),
-            typed: true,
-            type_stats,
-            ..RequestStats::default()
-        };
-        self.metrics.absorb(&stats);
-        (answers, stats)
-    }
-
-    /// Answers one plan through the bitset type kernel *with* a
-    /// derivation certificate. The kernel itself materializes no facts
-    /// and so cannot witness its answers; instead a traced reference
-    /// fixpoint runs alongside it, the two answer sets are
-    /// cross-checked (a divergence is an engine bug and comes back as
-    /// [`EngineError::Internal`] — never a silently wrong certificate),
-    /// and the certificate is emitted from the reference derivation.
-    pub fn answer_typed_certified(
-        &self,
-        plan: &OmqPlan,
-        abox: &Instance,
-        budget: &Budget,
-        vocab: &Mutex<Vocab>,
-    ) -> Result<(BTreeSet<Vec<Term>>, String, RequestStats), EngineError> {
-        let t0 = Instant::now();
-        let (elems, type_stats) = plan.types.certain_unary_with_stats(abox, plan.query);
-        let typed_answers: BTreeSet<Vec<Term>> = elems.into_iter().map(|t| vec![t]).collect();
-        let indexed = IndexedInstance::from_interpretation(abox);
-        let (answers, cert, _) = self.certified_eval(plan, &indexed, budget, vocab, None)?;
-        if typed_answers != answers {
-            return Err(EngineError::Internal(format!(
-                "typed kernel diverges from traced evaluation: {} vs {} answers",
-                typed_answers.len(),
-                answers.len()
-            )));
-        }
-        let stats = RequestStats {
-            eval: t0.elapsed(),
-            answers: answers.len(),
-            typed: true,
-            type_stats,
-            cert_bytes: cert.len(),
-            ..RequestStats::default()
-        };
         self.metrics.absorb(&stats);
         Ok((answers, cert, stats))
     }
 
-    /// Answers one plan against a batch of ABoxes concurrently (one
-    /// worker per ABox, work-stealing). Returns per-ABox answer sets in
-    /// input order plus one aggregate [`RequestStats`].
+    /// Answers one plan against a batch of ABoxes concurrently (up to
+    /// the engine's thread budget of kernel runs). Returns per-ABox
+    /// answer sets in input order plus one aggregate [`RequestStats`].
     pub fn answer_batch(&self, plan: &OmqPlan, aboxes: &[IndexedInstance]) -> BatchAnswers {
         self.answer_batch_budgeted(plan, aboxes, &Budget::UNLIMITED)
             .expect("the unlimited budget cannot be exceeded")
@@ -413,26 +344,16 @@ impl Engine {
         budget: &Budget,
     ) -> Result<BatchAnswers, EngineError> {
         let t0 = Instant::now();
-        match eval_batch_budgeted(
-            &plan.strata,
-            plan.program.goal,
-            aboxes,
-            self.threads,
-            budget,
-        ) {
+        match eval_batch(plan, aboxes, self.threads, budget) {
             Ok(results) => {
-                let mut stats = RequestStats {
-                    eval: t0.elapsed(),
-                    ..RequestStats::default()
-                };
+                let mut type_stats = TypeStats::default();
                 let mut answers = Vec::with_capacity(results.len());
-                for (ans, es) in results {
-                    stats.rounds += es.rounds;
-                    stats.derived += es.derived;
-                    stats.answers += ans.len();
-                    stats.store.absorb(&es.store);
+                for (ans, ts) in results {
+                    type_stats.absorb(&ts);
                     answers.push(ans);
                 }
+                let total = answers.iter().map(BTreeSet::len).sum();
+                let stats = kernel_stats(t0.elapsed(), total, type_stats);
                 self.metrics.absorb(&stats);
                 Ok((answers, stats))
             }
@@ -461,6 +382,20 @@ impl Engine {
         m.cache_size.set(self.cache.len() as u64);
         m.faults_injected.set(gomq_core::faults::injected());
         m.snapshot()
+    }
+}
+
+/// The statistics of a kernel-served request: `rounds` are the
+/// kernel's propagation passes and `derived` its eliminations.
+fn kernel_stats(eval: Duration, answers: usize, type_stats: TypeStats) -> RequestStats {
+    RequestStats {
+        eval,
+        rounds: type_stats.rounds,
+        derived: type_stats.eliminated,
+        answers,
+        typed: true,
+        type_stats,
+        ..RequestStats::default()
     }
 }
 
@@ -524,12 +459,18 @@ mod tests {
             &mut v,
         )
         .unwrap();
-        let (datalog_answers, _) = engine.answer(&plan, &abox);
-        let (typed_answers, rs) = engine.answer_typed(&plan, &abox);
+        let datalog_answers = plan.program.eval(&abox);
+        let (typed_answers, rs) = engine.answer(&plan, &abox);
         assert_eq!(typed_answers, datalog_answers);
         assert!(rs.typed);
         assert_eq!(rs.type_stats.elements, 2);
         assert!(rs.type_stats.edges >= 1);
+        // The kernel's passes and eliminations are the request's rounds
+        // and derived count; it interns no facts.
+        assert_eq!(rs.rounds, rs.type_stats.rounds);
+        assert_eq!(rs.derived, rs.type_stats.eliminated);
+        assert!(rs.rounds >= 1 && rs.derived >= 1);
+        assert_eq!(rs.store.facts, 0);
         let snap = engine.stats();
         assert_eq!(snap.typed_requests, 1);
         assert_eq!(snap.type_elements, 2);

@@ -1,7 +1,6 @@
 //! # gomq-engine
 //!
-//! A caching, indexed, parallel OMQ serving engine on top of the
-//! dichotomy machinery.
+//! A caching OMQ serving engine on top of the dichotomy machinery.
 //!
 //! The research crates answer one OMQ against one instance from
 //! scratch: classify the ontology, run type elimination, emit the
@@ -10,23 +9,24 @@
 //! pipeline mostly redundant work. This crate restructures it:
 //!
 //! * [`plan`] — an [`OmqPlan`] bundles the classification verdict, the
-//!   optimized rewriting, and its SCC stratification; compiled once.
+//!   element-type system with its bitset kernel, the optimized
+//!   rewriting and its SQL text; compiled once.
 //! * [`cache`] — a [`PlanCache`] keyed by the canonical OMQ hash
 //!   (`gomq_rewriting::canonical_omq_hash`) but *verified* against the
 //!   full canonical text (hash collisions can never serve the wrong
 //!   plan), with negative caching of non-rewritable OMQs, single-flight
 //!   deduplication of concurrent compilations, and a capacity bound
 //!   enforced by LRU eviction.
-//! * [`backend`] — the executors behind one backend-agnostic
-//!   [`gomq_datalog::ir::PlanIr`]: [`backend::native`], stratified
-//!   semi-naive evaluation over [`gomq_core::IndexedInstance`]
-//!   (first-argument hash probes, scoped-thread parallelism across
-//!   rule partitions within a round and across ABoxes within a batch,
-//!   governed by a cooperative [`gomq_datalog::Budget`]), and
-//!   [`backend::sql`], which runs the plan's emitted portable SQL via
-//!   the dependency-free `gomq-sqlexec` executor (recursive plans are
-//!   refused with a typed status).
-//! * [`engine`] — the [`Engine`] facade tying cache, executor and the
+//! * [`backend`] — the executors: [`backend::native`], the plan's
+//!   bitset type kernel run over an ABox's fact store (scoped-thread
+//!   parallelism across the ABoxes of a batch, governed by a
+//!   cooperative [`gomq_datalog::Budget`]), and [`backend::sql`], which
+//!   runs the plan's emitted portable SQL via the dependency-free
+//!   `gomq-sqlexec` executor (recursive plans are refused with a typed
+//!   status). Certified answers run the rewriting's traced Datalog
+//!   fixpoint, and maintained session views its incremental
+//!   maintenance.
+//! * [`engine`] — the [`Engine`] facade tying cache, executors and the
 //!   [`Metrics`] table together.
 //! * [`stats`] — per-request [`RequestStats`] and the engine's metrics,
 //!   declared once in one table and pulled with `{"op": "stats"}`.
@@ -51,10 +51,10 @@
 //!   replica via a `promote` op or `--promote-on-disconnect`, stamping
 //!   an epoch into the WAL that fences the old primary.
 //!
-//! The executor is answer-equivalent to the reference
-//! [`gomq_datalog::Program::eval`]; `tests/engine_props.rs` checks this
-//! property on random programs and instances, including across
-//! cache-hit re-evaluation.
+//! Served answers are answer-equivalent to the reference
+//! [`gomq_datalog::Program::eval`] of the plan's rewriting;
+//! `tests/engine_props.rs` checks this property on random OMQs and
+//! ABoxes, including across cache-hit re-evaluation.
 
 #![warn(missing_docs)]
 
@@ -73,10 +73,10 @@ pub mod session;
 pub mod stats;
 pub mod wal;
 
-pub use backend::native::{
-    eval_batch, eval_batch_budgeted, eval_plain, eval_program, eval_strata, eval_strata_budgeted,
-    Strata,
-};
+/// The engine's historical name for the backend-agnostic
+/// [`gomq_datalog::PlanIr`]: a rewriting's rules partitioned into SCC
+/// strata, bodies first.
+pub type Strata = gomq_datalog::PlanIr;
 pub use backend::Backend;
 pub use cache::{PlanCache, PlanOutcome};
 pub use certify::{emit_certificate, CertSource, CertifyError};

@@ -5,10 +5,12 @@
 //!
 //! * the **classification verdict** ([`OntologyReport`]) — the
 //!   executable Figure-1 zone/fragment report from `gomq-rewriting`,
+//! * the **element-type system** with its bitset propagation kernel,
+//!   which answers plain requests ([`crate::backend::native`]),
 //! * the **compiled Datalog≠ rewriting** (Theorem 5: one `elim_θ`
-//!   predicate per surviving element type), already `optimize()`d,
-//! * the rewriting pre-**stratified** into SCC strata ([`Strata`]), so
-//!   evaluation never pays the stratification cost per request,
+//!   predicate per surviving element type), already `optimize()`d —
+//!   the reference that certificates, maintained views and the SQL
+//!   text are built from,
 //! * the **canonical cache key** ([`canonical_omq_hash`]) under which
 //!   the plan is stored.
 //!
@@ -16,9 +18,8 @@
 //! exponential in the signature); the whole point of the engine is to
 //! pay it once per distinct OMQ.
 
-use crate::backend::native::Strata;
 use gomq_core::{RelId, Vocab};
-use gomq_datalog::Program;
+use gomq_datalog::{PlanIr, Program};
 use gomq_logic::GfOntology;
 use gomq_reasoning::CertainEngine;
 use gomq_rewriting::emit::emit_datalog;
@@ -121,25 +122,21 @@ pub struct OmqPlan {
     pub report: OntologyReport,
     /// The Datalog≠ rewriting (goal = the emitted `_goal` relation).
     pub program: Program,
-    /// The rewriting's rules pre-partitioned into SCC strata — the
-    /// backend-agnostic [`gomq_datalog::ir::PlanIr`] every executor
-    /// consumes (`Strata` is its engine-historical name).
-    pub strata: Strata,
     /// The plan lowered to portable SQL, or the typed reason it cannot
     /// be (recursive rewriting). Emitted eagerly at compile time: the
     /// text is ABox-independent, so cached plans serve SQL-backend
     /// requests with zero additional compilation work.
     pub sql: Result<SqlPlan, SqlEmitError>,
     /// The element-type system the rewriting was emitted from, with its
-    /// bitset propagation kernel pre-built — the fast path
-    /// [`crate::Engine::answer_typed`] evaluates directly against it.
+    /// bitset propagation kernel pre-built — what the native backend
+    /// evaluates plain requests against.
     pub types: Arc<ElementTypeSystem>,
 }
 
 impl OmqPlan {
     /// Compiles a plan: classifies the ontology, builds the element-type
-    /// system, emits and optimizes the Datalog≠ rewriting, and
-    /// stratifies it.
+    /// system and its kernel, emits and optimizes the Datalog≠
+    /// rewriting, and lowers its SCC strata to SQL.
     ///
     /// Interns fresh `_elim`/`_dom`/`_goal` relations in `vocab`; a
     /// cached plan must only be reused with the same vocabulary.
@@ -156,11 +153,10 @@ impl OmqPlan {
         let report = classify_ontology(o, &[], &CertainEngine::new(1), vocab);
         let sys = ElementTypeSystem::build(o, vocab)?;
         let program = emit_datalog(&sys, query, vocab).optimize();
-        let strata = Strata::of(&program);
-        let sql = emit_sql(&strata, vocab);
+        let sql = emit_sql(&PlanIr::of(&program), vocab);
         let types = Arc::new(sys);
         // Build the bitset kernel now, while we are paying compilation
-        // cost anyway, so cached plans serve typed requests without a
+        // cost anyway, so cached plans serve requests without a
         // first-request construction stall.
         types.kernel();
         Ok(OmqPlan {
@@ -169,7 +165,6 @@ impl OmqPlan {
             query,
             report,
             program,
-            strata,
             sql,
             types,
         })
@@ -191,7 +186,6 @@ mod tests {
         let plan = OmqPlan::compile(&o, c, &mut v).unwrap();
         assert!(plan.report.type_rewritable);
         assert!(!plan.program.is_empty());
-        assert!(!plan.strata.is_empty());
         assert_eq!(plan.key, canonical_omq_hash(&o, c, &v));
         assert!(plan.canonical_text.contains("query: C"));
     }

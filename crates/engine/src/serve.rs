@@ -18,9 +18,16 @@
 //! {"id": "r1", "status": "ok", "cached": false, "zone": "Dichotomy (Datalog!= = PTIME)",
 //!  "fragment": "uGF", "backend": "native",
 //!  "answers": [["ada"], ["grace"]],
-//!  "stats": {"compile_us": 412, "eval_us": 88, "rounds": 3, "derived": 6,
+//!  "stats": {"compile_us": 412, "eval_us": 14, "rounds": 1, "derived": 5,
 //!            "cache_hit": false, "maintained": false, "cert_bytes": 0}}
 //! ```
+//!
+//! `"rounds"` and `"derived"` count the evaluation's work. On a reply
+//! served by the type kernel (plain queries, batches, session reads with
+//! views off) they are its propagation passes and its (element, type)
+//! eliminations; on certified and maintained-view replies, Datalog
+//! fixpoint rounds and derived facts. The `"limits"` `max_rounds` and
+//! `max_derived` bound the same counts.
 //!
 //! The cumulative engine totals are pulled, not pushed: `{"op": "stats"}`
 //! answers with every metric of [`crate::stats`]' table, keys in table
@@ -46,8 +53,13 @@
 //!
 //! A query may carry `"backend": "native"` or `"backend": "sql"` (the
 //! session default is [`ServeConfig::default_backend`], settable with
-//! `gomq-serve --backend`). The native backend runs the stratified
-//! semi-naive fixpoint; the SQL backend executes the plan's eagerly
+//! `gomq-serve --backend`). The native backend answers from the plan's
+//! bitset type kernel ([`crate::backend::native`]): arc consistency
+//! over the ABox's element types, the same type elimination the
+//! Theorem-5 Datalog≠ rewriting spells out, without materializing a
+//! fact. Certified queries run the rewriting's traced fixpoint instead,
+//! and `"session": true` reads come from its maintained views when view
+//! maintenance is on. The SQL backend executes the plan's eagerly
 //! emitted portable SQL on the in-process `gomq-sqlexec` executor —
 //! answer sets are identical (`tests/sql_crosscheck.rs` proves it on
 //! random OMQs). A plan whose rewriting is recursive has no SQL form
@@ -112,9 +124,10 @@ use std::time::{Duration, Instant};
 /// `"limits"` object is clamped pointwise against the session's.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Limits {
-    /// Maximum fixpoint rounds per evaluation.
+    /// Maximum rounds per evaluation: fixpoint rounds, or kernel passes.
     pub max_rounds: Option<usize>,
-    /// Maximum IDB facts derived per evaluation (per ABox in a batch).
+    /// Maximum work per evaluation (per ABox in a batch): IDB facts
+    /// derived, or kernel (element, type) eliminations.
     pub max_derived: Option<usize>,
     /// Wall-clock timeout per request (shared across a batch).
     pub timeout: Option<Duration>,
@@ -150,7 +163,7 @@ impl Limits {
 /// Configuration for a serving session.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads for evaluation (1 = sequential).
+    /// Worker threads for an `"aboxes"` batch (1 = sequential).
     pub threads: usize,
     /// Plan-cache capacity (plans beyond this are LRU-evicted).
     pub cache_capacity: usize,
@@ -171,7 +184,8 @@ pub struct ServeConfig {
     pub max_line_bytes: usize,
     /// Maintained session materializations kept per session (LRU-
     /// evicted beyond this); 0 disables incremental view maintenance
-    /// and session queries fall back to from-scratch fixpoints.
+    /// and session queries fall back to from-scratch evaluation (the
+    /// type kernel; the traced fixpoint when certified).
     pub max_views: usize,
     /// The backend answering queries that carry no per-request
     /// `"backend"` field ([`Backend::Native`] unless `gomq-serve
@@ -872,8 +886,8 @@ impl ServeSession {
     /// sync over the facts asserted since the view last looked instead
     /// of a from-scratch fixpoint; a miss pays the one full fixpoint a
     /// view ever costs and registers it. With maintenance disabled
-    /// (`max_views` 0) the query runs a plain budgeted fixpoint over
-    /// the shared snapshot.
+    /// (`max_views` 0) the plan's type kernel answers over the shared
+    /// snapshot (the traced fixpoint when a certificate is asked for).
     fn run_session_query(
         &mut self,
         id: Option<&str>,
@@ -1022,8 +1036,10 @@ impl ServeSession {
                         self.put_view(plan.key, view, epoch);
                         (answers, cert, stats)
                     }
-                    // Maintenance disabled: plain budgeted fixpoint over
-                    // the shared snapshot (absorbs its own stats).
+                    // Maintenance disabled: a from-scratch evaluation
+                    // of the shared snapshot, the traced fixpoint when
+                    // certified and the type kernel otherwise (each
+                    // absorbs its own stats).
                     None if want_cert => {
                         let (answers, cert, stats) = engine.answer_indexed_certified(
                             plan,
@@ -1750,6 +1766,54 @@ mod tests {
         ok_field(&resp, "\"batches\": ");
         ok_field(&resp, r#"[["x"]], [["y"], ["z"]], []"#);
         assert!(crate::json::parse(&resp).is_ok());
+    }
+
+    #[test]
+    fn stats_count_kernel_served_queries() {
+        let mut s = ServeSession::with_threads(2);
+        let one = s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
+        ok_field(&one, r#""answers": [["x"]]"#);
+        let batch = s.handle_line(
+            r#"{"ontology": "A sub B", "query": "B", "aboxes": ["A(x)", "A(y)\nA(z)"]}"#,
+        );
+        ok_field(&batch, r#""batches": [[["x"]], [["y"], ["z"]]]"#);
+        let certified = s.handle_line(
+            r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)", "certificate": true}"#,
+        );
+        ok_field(&certified, "\"certificate\": ");
+        // One-shot and batch queries are kernel-served (a batch counts
+        // once, over its three elements); the certified query runs the
+        // traced fixpoint and interns the facts it derives.
+        let totals = stats_reply(&mut s);
+        ok_field(&totals, r#""requests": 3"#);
+        ok_field(&totals, r#""typed_requests": 2, "type_elements": 4"#);
+        let interned = s.engine().stats().facts_interned;
+        assert!(
+            interned > 0,
+            "the certified run materializes facts: {totals}"
+        );
+        s.handle_line(r#"{"ontology": "A sub B", "query": "B", "abox": "A(x)"}"#);
+        assert_eq!(
+            s.engine().stats().facts_interned,
+            interned,
+            "the kernel interns none"
+        );
+    }
+
+    #[test]
+    fn inconsistent_abox_answers_the_signature_domain() {
+        // `Foo` is outside the ontology's signature, so `z` is no answer
+        // although the ABox is inconsistent — as in the Datalog
+        // rewriting, whose `_dom` covers the signature only.
+        let mut s = ServeSession::with_threads(1);
+        let resp = s.handle_line(
+            r#"{"ontology": "A sub not B", "query": "A", "abox": "A(x)\nB(x)\nFoo(z)"}"#,
+        );
+        ok_field(&resp, r#""answers": [["x"]]"#);
+        let certified = s.handle_line(
+            r#"{"ontology": "A sub not B", "query": "A", "abox": "A(x)\nB(x)\nFoo(z)", "certificate": true}"#,
+        );
+        ok_field(&certified, r#""answers": [["x"]]"#);
     }
 
     #[test]

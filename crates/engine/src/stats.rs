@@ -17,22 +17,27 @@ use std::time::Duration;
 /// ABox, or one batch of ABoxes).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RequestStats {
-    /// Wall time spent evaluating the Datalog≠ program.
+    /// Wall time spent evaluating.
     pub eval: Duration,
-    /// Fixpoint rounds across all strata (summed over a batch).
+    /// Evaluation rounds (summed over a batch): the type kernel's
+    /// propagation passes when `typed`, fixpoint rounds otherwise.
     pub rounds: usize,
-    /// IDB facts derived beyond the ABox (summed over a batch).
+    /// Evaluation work (summed over a batch): the type kernel's
+    /// (element, type) eliminations when `typed`, IDB facts derived
+    /// beyond the ABox otherwise.
     pub derived: usize,
     /// Number of answer tuples (summed over a batch).
     pub answers: usize,
-    /// Whether the request was served by the bitset type kernel
-    /// ([`crate::Engine::answer_typed`]) rather than Datalog evaluation.
+    /// Whether the request was served by the bitset type kernel (every
+    /// plain query, batch and views-off session read) rather than a
+    /// Datalog fixpoint (certified queries, maintained views).
     pub typed: bool,
     /// Propagation-kernel counters (zero unless `typed`).
     pub type_stats: TypeStats,
     /// Storage pressure of the request's fact store(s): facts interned,
-    /// arena terms, dedup hits (summed over a batch; zero when `typed` —
-    /// the kernel path materializes no facts).
+    /// arena terms, dedup hits. Only the paths that materialize facts —
+    /// the traced fixpoint and maintained views — report it; zero on
+    /// kernel- and SQL-served requests.
     pub store: StoreStats,
     /// Whether a session query was answered from a maintained
     /// materialization that existed before the request (incremental
@@ -165,8 +170,8 @@ metrics! {
     inflight_waits         Gauge   "Lookups that waited on another thread's compilation (sampled).";
     overloaded             Counter "Requests refused or aborted because their budget ran out.";
     panics                 Counter "Panics caught and isolated by the serving layer.";
-    facts_interned         Counter "Facts interned across all evaluation stores.";
-    arena_bytes            Counter "Bytes of fact-argument arena across all evaluation stores.";
+    facts_interned         Counter "Facts interned by fact-materializing evaluations (certified, views).";
+    arena_bytes            Counter "Fact-argument arena bytes of fact-materializing evaluations.";
     dedup_hits             Counter "Candidate derivations answered by an existing fact.";
     wal_records            Counter "Session mutations journaled to the write-ahead log.";
     wal_bytes              Counter "Frame bytes appended to the write-ahead log.";
@@ -202,13 +207,13 @@ metrics! {
     repl_write_refusals    Counter "Writes refused as \"read-only\" (follower) or \"fenced\".";
     repl_stale_refusals    Counter "Replica reads refused for lagging past --max-staleness-lsn.";
     repl_lag_lsn           Gauge   "Follower lsn lag behind the primary (0 on a primary).";
-    rounds                 Counter "Fixpoint rounds across all evaluations.";
-    derived                Counter "IDB facts derived across all evaluations.";
+    rounds                 Counter "Fixpoint rounds plus type-kernel passes across all evaluations.";
+    derived                Counter "IDB facts derived plus type-kernel eliminations, all evaluations.";
     answers                Counter "Answer tuples produced across all evaluations.";
     compile_ns             Counter "Wall time in plan lookup and compilation, in nanoseconds.";
     eval_ns                Counter "Wall time in evaluation, in nanoseconds.";
-    typed_requests         Counter "Requests served by the bitset type kernel.";
-    type_elements          Counter "Active-domain elements propagated by the type kernel.";
+    typed_requests         Counter "Plain queries, batches and views-off session reads (type kernel).";
+    type_elements          Counter "Signature-domain elements propagated by the type kernel.";
     type_edges             Counter "Binary facts visited by the type kernel.";
     type_arcs_revised      Counter "AC-3 arc revisions performed by the type kernel.";
     type_compat_bits       Max     "Largest kernel compatibility-matrix size seen, in set bits.";

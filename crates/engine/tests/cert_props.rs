@@ -227,9 +227,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Path 3: the bitset type kernel (engine API — the serve protocol
-// routes unary-certified requests through the fixpoint, so the kernel
-// is certified at the engine boundary).
+// Path 3: the bitset type kernel. It answers plain requests and derives
+// no facts to cite, so a certified request runs the traced fixpoint; the
+// two must agree and the certificate must verify.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -256,14 +256,16 @@ fn typed_kernel_certificates_verify() {
         &mut v,
     )
     .unwrap();
-    let (kernel_answers, _) = engine.answer_typed(&plan, &abox);
+    let (kernel_answers, kernel_stats) = engine.answer(&plan, &abox);
+    assert!(kernel_stats.typed, "the kernel ran");
     let vocab = Mutex::new(v);
+    let indexed = gomq_core::IndexedInstance::from_instance(abox);
     let (answers, cert, stats) = engine
-        .answer_typed_certified(&plan, &abox, &Budget::UNLIMITED, &vocab)
-        .expect("typed certified answering succeeds");
+        .answer_indexed_certified(&plan, &indexed, &Budget::UNLIMITED, &vocab, None)
+        .expect("certified answering succeeds");
     assert_eq!(answers, kernel_answers, "certified path changed answers");
     assert_eq!(stats.cert_bytes, cert.len());
-    assert!(stats.typed, "the kernel ran");
+    assert!(!stats.typed, "certificates come from the traced fixpoint");
     let verified = gomq_cert::verify(&cert).expect("kernel certificate verifies");
     assert_eq!(verified.answers.len(), answers.len());
     assert!(verified.snapshot.is_none());

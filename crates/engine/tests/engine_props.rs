@@ -1,130 +1,179 @@
-//! Property tests: the engine's indexed, stratified, parallel executor
-//! is answer-equivalent to the reference `Program::eval`, and the full
+//! Property tests: served answers — the plan's bitset type kernel, one
+//! ABox at a time and in batches — equal the reference `Program::eval`
+//! of the plan's Datalog≠ rewriting on random OMQs, blown budgets come
+//! back as `Overloaded` naming the limit that ran out, and the full
 //! cached OMQ path is answer-equivalent to the one-shot
-//! classify-emit-eval pipeline — including across cache-hit
+//! classify-emit-eval pipeline, including across cache-hit
 //! re-evaluation.
 
-use gomq_core::{Fact, IndexedInstance, Instance, RelId, Vocab};
-use gomq_datalog::{DAtom, DTerm, Literal, Program, Rule};
+use gomq_core::{FactId, IndexedInstance, Instance, Vocab};
+use gomq_datalog::{Budget, LimitKind};
 use gomq_dl::parser::parse_ontology;
 use gomq_dl::translate::to_gf;
-use gomq_engine::backend::native::{eval_strata, Strata};
-use gomq_engine::Engine;
+use gomq_engine::{Engine, EngineError};
 use gomq_rewriting::emit::emit_datalog;
 use gomq_rewriting::ElementTypeSystem;
 use proptest::prelude::*;
+use std::time::Instant;
 
-/// One randomly drawn rule: `(head_choice, body_atom_specs, neq_flag)`.
-type RuleSpec = (u8, Vec<(u8, u32, u32)>, u8);
-
-/// Builds a random but well-formed Datalog≠ program plus instance from
-/// integer specs, so every generated case satisfies range restriction
-/// and the goal-not-in-body invariant by construction.
-fn build_case(rule_specs: &[RuleSpec], fact_specs: &[(u8, u8, u8)]) -> (Vocab, Program, Instance) {
-    let mut v = Vocab::new();
-    // Body-eligible relations: three unary, three binary, plus three
-    // dedicated IDB relations. The goal G is kept out of bodies.
-    let mut body_rels: Vec<RelId> = Vec::new();
-    for i in 0..3 {
-        body_rels.push(v.rel(&format!("U{i}"), 1));
+/// Renders one random ontology over concepts `A0..A3` and roles `R`,
+/// `S` (either may be inverted): inclusions, existential and universal
+/// restrictions, disjointness, counting, functionality and role
+/// inclusions.
+fn rich_ontology_text(axioms: &[(u8, u8, u8, u8)]) -> String {
+    let mut text = String::new();
+    for &(kind, i, j, r) in axioms {
+        let (a, b) = (i % 4, j % 4);
+        let role = ["R", "S", "R-", "S-"][r as usize % 4];
+        let other = ["S", "R", "S-", "R-"][r as usize % 4];
+        text.push_str(&match kind % 10 {
+            0 => format!("A{a} sub A{b}"),
+            1 => format!("A{a} sub ex {role}.A{b}"),
+            2 => format!("ex {role}.A{a} sub A{b}"),
+            3 => format!("A{a} sub all {role}.A{b}"),
+            4 => format!("A{a} sub not A{b}"),
+            5 => format!("A{a} sub >=2 {role}.A{b}"),
+            6 => format!("A{a} sub <=1 {role}.A{b}"),
+            7 => format!("func({role})"),
+            8 => format!("role {role} sub {other}"),
+            _ => format!("A{a} and A{b} sub not ex {role}.Top"),
+        });
+        text.push('\n');
     }
-    for i in 0..3 {
-        body_rels.push(v.rel(&format!("B{i}"), 2));
-    }
-    let idb: Vec<RelId> = vec![v.rel("I0", 1), v.rel("I1", 2), v.rel("I2", 1)];
-    body_rels.extend(&idb);
-    let goal = v.rel("G", 1);
-    let consts: Vec<_> = (0..5).map(|i| v.constant(&format!("c{i}"))).collect();
+    text
+}
 
-    let mut rules = Vec::new();
-    for (head_choice, body_spec, neq_flag) in rule_specs {
-        let mut body: Vec<Literal> = Vec::new();
-        let mut body_vars: Vec<u32> = Vec::new();
-        for &(rel_choice, v1, v2) in body_spec {
-            let rel = body_rels[rel_choice as usize % body_rels.len()];
-            let args: Vec<u32> = if v.arity(rel) == 1 {
-                vec![v1 % 3]
-            } else {
-                vec![v1 % 3, v2 % 3]
-            };
-            for &var in &args {
-                if !body_vars.contains(&var) {
-                    body_vars.push(var);
-                }
-            }
-            body.push(Literal::Pos(DAtom::vars(rel, &args)));
+/// Renders one random ABox over the ontology's relations plus `A4` and
+/// `T`, which no ontology mentions (out-of-signature facts). Equal
+/// constants in a role fact make a self-loop.
+fn rich_abox_text(facts: &[(u8, u8, u8)]) -> String {
+    let mut text = String::new();
+    for &(r, c1, c2) in facts {
+        let (c1, c2) = (c1 % 5, c2 % 5);
+        match r % 8 {
+            5 => text.push_str(&format!("R(c{c1},c{c2})\n")),
+            6 => text.push_str(&format!("S(c{c1},c{c2})\n")),
+            7 => text.push_str(&format!("T(c{c1},c{c2})\n")),
+            a => text.push_str(&format!("A{a}(c{c1})\n")),
         }
-        if *neq_flag % 4 == 0 && body_vars.len() >= 2 {
-            body.push(Literal::Neq(
-                DTerm::Var(body_vars[0]),
-                DTerm::Var(body_vars[1]),
-            ));
-        }
-        // Head: goal for one in four rules, an IDB relation otherwise;
-        // head variables are drawn from the body so range restriction
-        // holds by construction.
-        let head_rel = if *head_choice % 4 == 3 {
-            goal
-        } else {
-            idb[*head_choice as usize % idb.len()]
-        };
-        let head_args: Vec<u32> = (0..v.arity(head_rel))
-            .map(|i| body_vars[i % body_vars.len()])
-            .collect();
-        rules.push(Rule::new(DAtom::vars(head_rel, &head_args), body));
     }
-    let program = Program::new(rules, goal);
+    text
+}
 
-    let mut d = Instance::new();
-    // EDB facts over every relation, the goal included (goal facts in
-    // the input are legal and must surface as answers).
-    let mut all_rels = body_rels.clone();
-    all_rels.push(goal);
-    for &(rel_choice, c1, c2) in fact_specs {
-        let rel = all_rels[rel_choice as usize % all_rels.len()];
-        let args = if v.arity(rel) == 1 {
-            vec![consts[c1 as usize % consts.len()]]
-        } else {
-            vec![
-                consts[c1 as usize % consts.len()],
-                consts[c2 as usize % consts.len()],
-            ]
-        };
-        d.insert(Fact::consts(rel, &args));
+/// The limit an `Overloaded` error names (panics on anything else).
+fn overloaded_limit<T: std::fmt::Debug>(r: Result<T, EngineError>) -> LimitKind {
+    match r {
+        Err(EngineError::Overloaded(e)) => e.limit,
+        other => panic!("expected an overloaded error, got {other:?}"),
     }
-    (v, program, d)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Indexed + stratified + parallel evaluation answers exactly what
-    /// the reference semi-naive evaluator answers, for any thread count,
-    /// and stays stable when the cached strata are re-evaluated.
+    /// Served answers equal `Program::eval` of the plan's rewriting, on
+    /// one ABox and across a batch, with dead (retracted) facts skipped;
+    /// the served run's own rounds and eliminations are exactly the
+    /// budget it needs.
     #[test]
     fn executor_matches_reference_eval(
-        rule_specs in proptest::collection::vec(
-            (
-                proptest::arbitrary::any::<u8>(),
-                proptest::collection::vec((0u8..9, 0u32..3, 0u32..3), 1..4),
-                proptest::arbitrary::any::<u8>(),
-            ),
-            1..8,
+        axioms in proptest::collection::vec(
+            (0u8..10, 0u8..4, 0u8..4, 0u8..4),
+            1..6,
         ),
-        fact_specs in proptest::collection::vec((0u8..10, 0u8..5, 0u8..5), 0..30),
-        threads in 1usize..5,
+        aboxes in proptest::collection::vec(
+            proptest::collection::vec((proptest::arbitrary::any::<u8>(), 0u8..5, 0u8..5), 0..14),
+            1..4,
+        ),
+        dead in proptest::collection::vec(0usize..14, 0..3),
+        query_choice in 0u8..7,
     ) {
-        let (_v, program, d) = build_case(&rule_specs, &fact_specs);
-        let expected = program.eval(&d);
-        let indexed = IndexedInstance::from_interpretation(&d);
-        // The strata are what an OmqPlan caches: evaluate twice to model
-        // a cache-hit re-evaluation and demand identical answers.
-        let strata = Strata::of(&program);
-        let (first, stats) = eval_strata(&strata, program.goal, &indexed, threads);
-        let (second, _) = eval_strata(&strata, program.goal, &indexed, threads);
-        prop_assert_eq!(&first, &expected);
-        prop_assert_eq!(&second, &expected);
-        prop_assert!(stats.rounds >= strata.strata.len());
+        let mut v = Vocab::new();
+        let dl = parse_ontology(&rich_ontology_text(&axioms), &mut v)
+            .expect("generated ontology must parse");
+        let o = to_gf(&dl);
+        let parsed: Vec<Instance> = aboxes
+            .iter()
+            .map(|facts| {
+                gomq_core::parse::parse_instance(&rich_abox_text(facts), &mut v)
+                    .expect("generated abox must parse")
+            })
+            .collect();
+        let query_name = ["A0", "A1", "A2", "A3", "A4", "R", "T"][query_choice as usize];
+        let Some(query) = v.find_rel(query_name) else {
+            return Ok(()); // the relation occurs in no draw
+        };
+        let engine = Engine::with_threads(2);
+        let (plan, _, _) = engine.plan(&o, query, &mut v);
+        let Ok(plan) = plan else {
+            // The engine may only reject what the rewriter rejects.
+            prop_assert!(ElementTypeSystem::build(&o, &v).is_err());
+            return Ok(());
+        };
+        // Retract a few facts of the first ABox the way a maintained
+        // store does (support 0, kept in place): the reference sees the
+        // live facts only.
+        let mut indexed: Vec<IndexedInstance> =
+            parsed.iter().map(IndexedInstance::from_interpretation).collect();
+        let mut live = parsed.clone();
+        let first = &mut indexed[0];
+        for &i in &dead {
+            if i < first.len() {
+                first.set_support(FactId(i as u32), 0);
+            }
+        }
+        live[0] = Instance::from_facts(
+            first
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| first.store().is_live(i as u32))
+                .map(|(_, f)| f.to_fact()),
+        );
+        let unlimited = Budget::UNLIMITED;
+        let (batch, batch_stats) = engine
+            .answer_batch_budgeted(&plan, &indexed, &unlimited)
+            .expect("unlimited");
+        let mut rounds = 0;
+        for (i, d) in indexed.iter().enumerate() {
+            let expected = plan.program.eval(&live[i]);
+            let (answers, stats) = engine
+                .answer_indexed_budgeted(&plan, d, &unlimited)
+                .expect("unlimited");
+            prop_assert_eq!(&answers, &expected, "abox {}", i);
+            prop_assert_eq!(&batch[i], &expected, "batch abox {}", i);
+            prop_assert!(stats.typed && stats.rounds >= 1);
+            rounds += stats.rounds;
+            // The run's own counts are exactly the budget it needs.
+            let exact = Budget {
+                max_rounds: Some(stats.rounds),
+                max_derived: Some(stats.derived),
+                deadline: None,
+            };
+            let (again, _) = engine.answer_indexed_budgeted(&plan, d, &exact).expect("fits");
+            prop_assert_eq!(&again, &expected);
+            let fewer_rounds = Budget { max_rounds: Some(stats.rounds - 1), ..unlimited };
+            prop_assert_eq!(
+                overloaded_limit(engine.answer_indexed_budgeted(&plan, d, &fewer_rounds)),
+                LimitKind::Rounds
+            );
+            if stats.derived > 0 {
+                let fewer_derived = Budget { max_derived: Some(stats.derived - 1), ..unlimited };
+                prop_assert_eq!(
+                    overloaded_limit(engine.answer_indexed_budgeted(&plan, d, &fewer_derived)),
+                    LimitKind::Derived
+                );
+                prop_assert_eq!(
+                    overloaded_limit(engine.answer_batch_budgeted(&plan, &indexed, &fewer_derived)),
+                    LimitKind::Derived
+                );
+            }
+            let expired = Budget { deadline: Some(Instant::now()), ..unlimited };
+            prop_assert_eq!(
+                overloaded_limit(engine.answer_indexed_budgeted(&plan, d, &expired)),
+                LimitKind::Deadline
+            );
+        }
+        prop_assert_eq!(batch_stats.rounds, rounds);
     }
 }
 
@@ -157,10 +206,9 @@ fn abox_text(facts: &[(u8, u8, u8)]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The full engine path (plan cache + indexed parallel executor)
-    /// answers random Horn OMQs exactly like the one-shot
-    /// build-emit-eval pipeline, and the second, cache-hit evaluation
-    /// returns the same answers.
+    /// The full engine path (plan cache + kernel) answers random Horn
+    /// OMQs exactly like the one-shot build-emit-eval pipeline, and the
+    /// second, cache-hit evaluation returns the same answers.
     #[test]
     fn cached_omq_path_matches_one_shot_pipeline(
         axioms in proptest::collection::vec(

@@ -1,13 +1,15 @@
-//! Native ≡ SQL cross-check: every generated non-recursive OMQ answers
-//! identically on the native fixpoint backend and on the emitted-SQL
-//! backend, and every recursive one is refused with the typed
-//! `non-rewritable-to-sql` status — never answered wrongly.
+//! Served ≡ SQL cross-check: every generated non-recursive OMQ answers
+//! identically on the native backend (the plan's bitset type kernel)
+//! and on the emitted-SQL backend, and every recursive one is refused
+//! with the typed `non-rewritable-to-sql` status — never answered
+//! wrongly.
 //!
-//! The two pipelines share nothing past the `PlanIr`: the native path
-//! evaluates rule structs semi-naively over interned term columns, the
-//! SQL path renders text and runs it on the `gomq-sqlexec` nested-loop
-//! executor over string tables. Agreement is therefore strong evidence
-//! that both implement the same certain-answer semantics.
+//! The two pipelines share nothing past the element-type system: the
+//! native path propagates surviving-type bitset rows over interned
+//! terms, the SQL path renders the Datalog≠ rewriting as text and runs
+//! it on the `gomq-sqlexec` nested-loop executor over string tables.
+//! Agreement is therefore strong evidence that both implement the same
+//! certain-answer semantics.
 
 use gomq_core::{IndexedInstance, Vocab};
 use gomq_datalog::Budget;

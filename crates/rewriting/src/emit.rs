@@ -270,7 +270,7 @@ mod tests {
         d.insert(Fact::consts(r, &[ca, cb]));
         d.insert(Fact::consts(b_rel, &[cb]));
         d.insert(Fact::consts(r, &[cb, cc]));
-        let from_types = sys.certain_unary(&d, c_rel);
+        let from_types = sys.certain_unary(d.store(), c_rel);
         let from_datalog: std::collections::BTreeSet<Term> =
             program.eval(&d).into_iter().map(|tuple| tuple[0]).collect();
         assert_eq!(from_types, from_datalog);
@@ -299,6 +299,37 @@ mod tests {
         // every domain element the program can see.
         let ans = program.eval(&d);
         assert!(ans.contains(&vec![Term::Const(ca)]));
+    }
+
+    #[test]
+    fn inconsistent_abox_answers_the_signature_domain() {
+        // `Foo` lies outside the ontology's signature, so `z` is not in
+        // the rewriting's `_dom`: the inconsistent ABox makes `A` certain
+        // at `x` alone, for the program and the kernel alike.
+        let mut v = Vocab::new();
+        let dl = gomq_dl::parser::parse_ontology("A sub not B", &mut v).unwrap();
+        let sys = ElementTypeSystem::build(&to_gf(&dl), &v).expect("supported");
+        let d = gomq_core::parse::parse_instance("A(x)\nB(x)\nFoo(z)", &mut v).unwrap();
+        let (x, z) = (Term::Const(v.constant("x")), Term::Const(v.constant("z")));
+        // An out-of-closure query adds its asserted facts on both sides.
+        for (query, expected) in [("A", vec![x]), ("Foo", vec![x, z])] {
+            let rel = v.find_rel(query).unwrap();
+            let program = emit_datalog(&sys, rel, &mut v);
+            let expected: std::collections::BTreeSet<Term> = expected.into_iter().collect();
+            let from_datalog: std::collections::BTreeSet<Term> =
+                program.eval(&d).into_iter().map(|tuple| tuple[0]).collect();
+            assert_eq!(from_datalog, expected, "program, query {query}");
+            assert_eq!(
+                sys.certain_unary(d.store(), rel),
+                expected,
+                "kernel, query {query}"
+            );
+            assert_eq!(
+                sys.certain_unary_reference(d.store(), rel),
+                expected,
+                "reference, query {query}"
+            );
+        }
     }
 
     #[test]
@@ -402,7 +433,7 @@ mod tests {
         );
         // Agreement with the type-elimination route on both instances.
         for d in [&d2, &d3] {
-            let from_types = sys.certain_unary(d, nq);
+            let from_types = sys.certain_unary(d.store(), nq);
             let from_program: std::collections::BTreeSet<Term> =
                 program.eval(d).into_iter().map(|t| t[0]).collect();
             assert_eq!(from_types, from_program);

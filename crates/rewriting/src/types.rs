@@ -36,7 +36,8 @@
 //! in the experiment suite.
 
 use gomq_core::bitset::{self, BitMatrix};
-use gomq_core::{Instance, RelId, Term, TermInterner, Vocab};
+use gomq_core::{faults, FactId, FactStore, RelId, Term, TermInterner, Vocab};
+use gomq_datalog::{Budget, BudgetExceeded, EvalStats};
 use gomq_logic::{Formula, GfOntology, Guard, LVar};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -166,7 +167,8 @@ impl fmt::Debug for ElementTypeSystem {
 /// the remaining fields describe the per-instance propagation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TypeStats {
-    /// Active-domain size of the instance.
+    /// Signature-domain size of the instance: the terms of its facts
+    /// over the closure's relations.
     pub elements: usize,
     /// Binary facts visited (proper edges + self-loops).
     pub edges: usize,
@@ -178,6 +180,10 @@ pub struct TypeStats {
     pub build_ns: u64,
     /// Wall time of this instance's propagation.
     pub propagate_ns: u64,
+    /// Propagation passes: each worklist drain and each counting pass.
+    pub rounds: usize,
+    /// (element, type) pairs eliminated.
+    pub eliminated: usize,
 }
 
 impl TypeStats {
@@ -190,6 +196,8 @@ impl TypeStats {
         self.compat_bits = self.compat_bits.max(other.compat_bits);
         self.build_ns = self.build_ns.max(other.build_ns);
         self.propagate_ns += other.propagate_ns;
+        self.rounds += other.rounds;
+        self.eliminated += other.eliminated;
     }
 }
 
@@ -200,8 +208,6 @@ pub struct InstanceTypes {
     pub surviving: BTreeMap<Term, BTreeSet<usize>>,
     /// Whether some element has no surviving type (inconsistency).
     pub inconsistent: bool,
-    /// Propagation rounds until fixpoint.
-    pub rounds: usize,
     /// Kernel counters (zeroed by the reference implementation).
     pub stats: TypeStats,
 }
@@ -784,69 +790,87 @@ impl ElementTypeSystem {
         }
     }
 
-    /// Per-instance type assignment by bit-parallel AC-3 propagation.
+    /// Per-instance type assignment by bit-parallel AC-3 propagation:
+    /// one unbudgeted kernel run with each element's surviving types
+    /// spelled out.
     ///
     /// The computation is the paper's Theorem-5 one — identical in its
     /// result to [`ElementTypeSystem::instance_types_reference`] (the
     /// property tests assert exactly that) — but runs on the cached
-    /// [`TypeKernel`]: elements are interned to dense ids, surviving
-    /// sets are fixed-width bitset rows, an edge revision ORs the
-    /// compat-matrix rows of the partner's surviving types and ANDs the
-    /// union into the revisee's row, and a worklist of dirty arcs
-    /// replaces full-sweep rounds. Counting/functionality caps are
-    /// re-checked only for elements whose neighbourhood shrank.
-    pub fn instance_types(&self, d: &Instance) -> InstanceTypes {
+    /// [`TypeKernel`]. Elements are the signature domain of `d`: the
+    /// terms of its live facts over the closure's relations (the `_dom`
+    /// of the Datalog rewriting); other facts constrain no type.
+    pub fn instance_types(&self, d: &FactStore) -> InstanceTypes {
+        let run = self
+            .propagate(d, &Budget::UNLIMITED)
+            .expect("the unlimited budget cannot be exceeded");
+        InstanceTypes {
+            surviving: (0..run.terms.len())
+                .map(|e| (run.terms.term(e as u32), bitset::ones(run.row(e)).collect()))
+                .collect(),
+            inconsistent: run.inconsistent(),
+            stats: run.stats,
+        }
+    }
+
+    /// One kernel run over the signature domain of `d`: elements are
+    /// interned to dense ids, surviving sets are fixed-width bitset
+    /// rows, an edge revision ORs the compat-matrix rows of the
+    /// partner's surviving types and ANDs the union into the revisee's
+    /// row, and a worklist of dirty arcs replaces full-sweep rounds.
+    /// Counting/functionality caps are re-checked only for elements
+    /// whose neighbourhood shrank.
+    ///
+    /// Each pass — the worklist drain, and each counting pass — visits
+    /// the `eval.round` fault seam and counts in [`TypeStats::rounds`];
+    /// every cleared (element, type) bit counts in
+    /// [`TypeStats::eliminated`]. The budget checks the two as rounds
+    /// and derived facts after every pass, and every
+    /// [`REVISIONS_PER_CHECK`] arc revisions within a drain.
+    fn propagate(&self, d: &FactStore, budget: &Budget) -> Result<Propagation, BudgetExceeded> {
         let k = self.kernel();
         let t0 = Instant::now();
         let words = k.words;
-        // Dense element index over the active domain (`dom()` is sorted,
-        // so ids are deterministic).
+        // Dense element ids over the signature domain, in fact order;
+        // the asserted unary facts as (element, unary index).
         let mut terms = TermInterner::new();
-        for t in d.dom() {
-            terms.intern(t);
-        }
-        let n_elem = terms.len();
-        // Surviving rows: all of T*, minus the types contradicting an
-        // asserted unary fact, minus the types incompatible with a
-        // self-loop.
-        let mut surv: Vec<u64> = Vec::with_capacity(n_elem * words);
-        for _ in 0..n_elem {
-            surv.extend_from_slice(&k.full);
-        }
+        let mut unary: Vec<(usize, usize)> = Vec::new();
         for (ui, &u) in self.unary_rels.iter().enumerate() {
-            for f in d.facts_of(u) {
-                if f.args.len() == 1 {
-                    let e = terms.get(f.args[0]).expect("domain term") as usize;
-                    bitset::and_assign(&mut surv[e * words..(e + 1) * words], &k.unary_ok[ui]);
-                }
+            for args in live_facts(d, u, 1) {
+                unary.push((terms.intern(args[0]) as usize, ui));
             }
         }
         // Edges (proper) and self-loops, per dense relation index.
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        let mut loops: Vec<(usize, usize)> = Vec::new();
+        for (ri, &r) in self.binary_rels.iter().enumerate() {
+            for args in live_facts(d, r, 2) {
+                let (u, w) = (terms.intern(args[0]), terms.intern(args[1]));
+                if u == w {
+                    loops.push((ri, u as usize));
+                } else {
+                    edges.push((ri as u32, u, w));
+                }
+            }
+        }
+        let n_elem = terms.len();
         let nrels = self.binary_rels.len();
         let has_counting = !k.counting.is_empty();
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        let mut loops = 0usize;
-        let mut has_loop: Vec<Vec<bool>> = vec![Vec::new(); nrels];
-        for (ri, &r) in self.binary_rels.iter().enumerate() {
+        // Surviving rows: all of T*, minus the types contradicting an
+        // asserted unary fact, minus the types incompatible with a
+        // self-loop.
+        let mut surv: Vec<u64> = k.full.repeat(n_elem);
+        let mut eliminated = 0usize;
+        for &(e, ui) in &unary {
+            eliminated +=
+                bitset::and_assign(&mut surv[e * words..(e + 1) * words], &k.unary_ok[ui]);
+        }
+        let mut has_loop = vec![vec![false; if has_counting { n_elem } else { 0 }]; nrels];
+        for &(ri, u) in &loops {
             if has_counting {
-                has_loop[ri] = vec![false; n_elem];
+                has_loop[ri][u] = true;
             }
-            for f in d.facts_of(r) {
-                if f.args.len() != 2 {
-                    continue;
-                }
-                let u = terms.get(f.args[0]).expect("domain term") as usize;
-                let w = terms.get(f.args[1]).expect("domain term") as usize;
-                if u == w {
-                    loops += 1;
-                    if has_counting {
-                        has_loop[ri][u] = true;
-                    }
-                    bitset::and_assign(&mut surv[u * words..(u + 1) * words], &k.loop_ok[ri]);
-                } else {
-                    edges.push((ri as u32, u as u32, w as u32));
-                }
-            }
+            eliminated += bitset::and_assign(&mut surv[u * words..(u + 1) * words], &k.loop_ok[ri]);
         }
         // Distinct-neighbour CSR adjacency for the counting pass (facts
         // are deduplicated, so so are the lists).
@@ -895,11 +919,22 @@ impl ElementTypeSystem {
         let mut nbrs: Vec<u32> = Vec::new();
         let mut arcs_revised = 0usize;
         let mut rounds = 0usize;
+        let check = |rounds: usize, eliminated: usize| {
+            budget.check(&EvalStats {
+                rounds,
+                derived: eliminated,
+                ..EvalStats::default()
+            })
+        };
         loop {
+            faults::point(faults::EVAL_ROUND);
             rounds += 1;
             while let Some(ai) = queue.pop_front() {
                 in_queue[ai as usize] = false;
                 arcs_revised += 1;
+                if arcs_revised.is_multiple_of(REVISIONS_PER_CHECK) {
+                    check(rounds, eliminated)?;
+                }
                 let (rv, p, ri, rv_is_src) = arcs[ai as usize];
                 let (rv, p, ri) = (rv as usize, p as usize, ri as usize);
                 allowed.fill(0);
@@ -912,7 +947,9 @@ impl ElementTypeSystem {
                         bitset::or_assign(&mut allowed, m.row(tj));
                     }
                 }
-                if bitset::and_assign(&mut surv[rv * words..(rv + 1) * words], &allowed) {
+                let cleared = bitset::and_assign(&mut surv[rv * words..(rv + 1) * words], &allowed);
+                if cleared > 0 {
+                    eliminated += cleared;
                     shrunk[rv] = true;
                     for &a2 in arcs_of_partner.row(rv) {
                         if !in_queue[a2 as usize] {
@@ -922,12 +959,15 @@ impl ElementTypeSystem {
                     }
                 }
             }
+            check(rounds, eliminated)?;
             if !has_counting {
                 break;
             }
             // Counting pass, restricted to dirty elements: those whose
             // own row shrank or with a shrunk proper neighbour (arcs
             // enumerate exactly the proper-edge neighbour pairs).
+            faults::point(faults::EVAL_ROUND);
+            rounds += 1;
             let mut dirty = shrunk.clone();
             for &(rv, p, _, _) in &arcs {
                 if shrunk[p as usize] {
@@ -972,6 +1012,7 @@ impl ElementTypeSystem {
                         }
                         if forced >= ck.count {
                             bitset::clear_bit(&mut surv[a * words..(a + 1) * words], ti);
+                            eliminated += 1;
                             killed = true;
                         }
                     }
@@ -987,30 +1028,26 @@ impl ElementTypeSystem {
                     }
                 }
             }
+            check(rounds, eliminated)?;
             if !progressed {
                 break;
             }
         }
-        let mut surviving: BTreeMap<Term, BTreeSet<usize>> = BTreeMap::new();
-        let mut inconsistent = false;
-        for e in 0..n_elem {
-            let row = &surv[e * words..(e + 1) * words];
-            inconsistent |= bitset::is_zero(row);
-            surviving.insert(terms.term(e as u32), bitset::ones(row).collect());
-        }
-        InstanceTypes {
-            surviving,
-            inconsistent,
-            rounds,
+        Ok(Propagation {
+            terms,
+            words,
+            surv,
             stats: TypeStats {
                 elements: n_elem,
-                edges: edges.len() + loops,
+                edges: edges.len() + loops.len(),
                 arcs_revised,
                 compat_bits: k.compat_bits,
                 build_ns: k.build_ns,
                 propagate_ns: t0.elapsed().as_nanos() as u64,
+                rounds,
+                eliminated,
             },
-        }
+        })
     }
 
     /// Per-instance type assignment by arc-consistency propagation —
@@ -1018,14 +1055,21 @@ impl ElementTypeSystem {
     /// over `BTreeSet` surviving sets, one `compat_edge` call per type
     /// pair per edge per round). The bitset kernel is checked against it
     /// property-test-wise and benchmarked against it in `e13_types`.
-    pub fn instance_types_reference(&self, d: &Instance) -> InstanceTypes {
+    pub fn instance_types_reference(&self, d: &FactStore) -> InstanceTypes {
+        let mut dom: BTreeSet<Term> = BTreeSet::new();
+        for &u in &self.unary_rels {
+            dom.extend(live_facts(d, u, 1).map(|args| args[0]));
+        }
+        for &r in &self.binary_rels {
+            dom.extend(live_facts(d, r, 2).flatten());
+        }
         let mut surviving: BTreeMap<Term, BTreeSet<usize>> = BTreeMap::new();
-        for a in d.dom() {
+        for a in dom {
             // Initial: types consistent with the unary facts at a.
             let mut set = BTreeSet::new();
             'ty: for (ti, t) in self.types.iter().enumerate() {
                 for (ui, &u) in self.unary_rels.iter().enumerate() {
-                    let asserted = d.facts_of(u).any(|f| f.args.len() == 1 && f.args[0] == a);
+                    let asserted = live_facts(d, u, 1).any(|args| args[0] == a);
                     if asserted && !t.unary[ui] {
                         continue 'ty;
                     }
@@ -1040,15 +1084,12 @@ impl ElementTypeSystem {
         // type sets.
         let mut edges: Vec<(RelId, Term, Term)> = Vec::new();
         for &r in &self.binary_rels {
-            for f in d.facts_of(r) {
-                if f.args.len() != 2 {
-                    continue;
-                }
-                if f.args[0] == f.args[1] {
-                    let set = surviving.get_mut(&f.args[0]).expect("element exists");
+            for args in live_facts(d, r, 2) {
+                if args[0] == args[1] {
+                    let set = surviving.get_mut(&args[0]).expect("element exists");
                     set.retain(|&ti| self.compat_self_loop(&self.types[ti], r));
                 } else {
-                    edges.push((r, f.args[0], f.args[1]));
+                    edges.push((r, args[0], args[1]));
                 }
             }
         }
@@ -1058,24 +1099,16 @@ impl ElementTypeSystem {
         let mut in_nbrs: BTreeMap<(RelId, Term), BTreeSet<Term>> = BTreeMap::new();
         let mut has_loop: BTreeSet<(RelId, Term)> = BTreeSet::new();
         for &r in &self.binary_rels {
-            for f in d.facts_of(r) {
-                if f.args.len() != 2 {
-                    continue;
-                }
-                if f.args[0] == f.args[1] {
-                    has_loop.insert((r, f.args[0]));
+            for args in live_facts(d, r, 2) {
+                if args[0] == args[1] {
+                    has_loop.insert((r, args[0]));
                 } else {
-                    out_nbrs
-                        .entry((r, f.args[0]))
-                        .or_default()
-                        .insert(f.args[1]);
-                    in_nbrs.entry((r, f.args[1])).or_default().insert(f.args[0]);
+                    out_nbrs.entry((r, args[0])).or_default().insert(args[1]);
+                    in_nbrs.entry((r, args[1])).or_default().insert(args[0]);
                 }
             }
         }
-        let mut rounds = 0usize;
         loop {
-            rounds += 1;
             let mut changed = false;
             for &(r, a, b) in &edges {
                 // Forward: t at a needs a compatible partner at b.
@@ -1171,56 +1204,113 @@ impl ElementTypeSystem {
         InstanceTypes {
             surviving,
             inconsistent,
-            rounds,
             stats: TypeStats::default(),
         }
     }
 
-    /// Certain answers to the atomic query `A(x)`: the elements all of
-    /// whose surviving types make `A` true — or every element when the
-    /// instance is inconsistent. A relation outside the ontology's
-    /// closure is unconstrained, so its certain answers are exactly the
-    /// facts asserted in `D`. Runs the bitset kernel.
-    pub fn certain_unary(&self, d: &Instance, rel: RelId) -> BTreeSet<Term> {
-        self.certain_unary_with_stats(d, rel).0
+    /// Certain answers to the atomic query `A(x)`: the asserted `A`
+    /// facts, plus the elements of the signature domain all of whose
+    /// surviving types make `A` true — every element of the signature
+    /// domain when the instance is inconsistent. A relation outside the
+    /// ontology's closure is unconstrained, so its certain answers are
+    /// exactly the facts asserted in `D` (plus, on an inconsistent
+    /// instance, the signature domain). This is what the goal of the
+    /// Datalog rewriting derives. Runs the bitset kernel.
+    pub fn certain_unary(&self, d: &FactStore, rel: RelId) -> BTreeSet<Term> {
+        self.certain_unary_budgeted(d, rel, &Budget::UNLIMITED)
+            .expect("the unlimited budget cannot be exceeded")
+            .0
     }
 
-    /// [`ElementTypeSystem::certain_unary`] plus the kernel counters of
-    /// the underlying propagation run (for `EngineStats` accounting).
-    pub fn certain_unary_with_stats(
+    /// [`ElementTypeSystem::certain_unary`] under a cooperative resource
+    /// [`Budget`] (see [`TypeStats::rounds`] and
+    /// [`TypeStats::eliminated`] for what it counts), plus the kernel
+    /// counters of the run.
+    pub fn certain_unary_budgeted(
         &self,
-        d: &Instance,
+        d: &FactStore,
         rel: RelId,
-    ) -> (BTreeSet<Term>, TypeStats) {
-        let it = self.instance_types(d);
-        let stats = it.stats;
-        (self.certain_from(&it, d, rel), stats)
+        budget: &Budget,
+    ) -> Result<(BTreeSet<Term>, TypeStats), BudgetExceeded> {
+        let run = self.propagate(d, budget)?;
+        let holds = self
+            .unary_rels
+            .iter()
+            .position(|&r| r == rel)
+            .map(|ui| &self.kernel().unary_ok[ui]);
+        let elements = (0..run.terms.len()).map(|e| {
+            let row = run.row(e);
+            let entailed = holds.is_some_and(|ok| row.iter().zip(ok).all(|(t, ok)| t & !ok == 0));
+            (run.terms.term(e as u32), entailed)
+        });
+        Ok((
+            certain_from(d, rel, run.inconsistent(), elements),
+            run.stats,
+        ))
     }
 
     /// [`ElementTypeSystem::certain_unary`] through the reference
     /// propagation — retained for equivalence testing.
-    pub fn certain_unary_reference(&self, d: &Instance, rel: RelId) -> BTreeSet<Term> {
+    pub fn certain_unary_reference(&self, d: &FactStore, rel: RelId) -> BTreeSet<Term> {
         let it = self.instance_types_reference(d);
-        self.certain_from(&it, d, rel)
+        let ui = self.unary_rels.iter().position(|&r| r == rel);
+        let elements = it.surviving.iter().map(|(&t, set)| {
+            let entailed = ui.is_some_and(|ui| set.iter().all(|&ti| self.types[ti].unary[ui]));
+            (t, entailed)
+        });
+        certain_from(d, rel, it.inconsistent, elements)
+    }
+}
+
+/// Arc revisions between two budget checks within one worklist drain.
+const REVISIONS_PER_CHECK: usize = 4096;
+
+/// One kernel run: the dense element index and the surviving-type row
+/// each element ended with.
+struct Propagation {
+    terms: TermInterner,
+    words: usize,
+    surv: Vec<u64>,
+    stats: TypeStats,
+}
+
+impl Propagation {
+    fn row(&self, e: usize) -> &[u64] {
+        &self.surv[e * self.words..(e + 1) * self.words]
     }
 
-    fn certain_from(&self, it: &InstanceTypes, d: &Instance, rel: RelId) -> BTreeSet<Term> {
-        if it.inconsistent {
-            return d.dom();
-        }
-        let Some(ui) = self.unary_rels.iter().position(|&r| r == rel) else {
-            return d
-                .facts_of(rel)
-                .filter(|f| f.args.len() == 1)
-                .map(|f| f.args[0])
-                .collect();
-        };
-        it.surviving
-            .iter()
-            .filter(|(_, set)| !set.is_empty() && set.iter().all(|&ti| self.types[ti].unary[ui]))
-            .map(|(&t, _)| t)
-            .collect()
+    /// Whether some element has no surviving type.
+    fn inconsistent(&self) -> bool {
+        (0..self.terms.len()).any(|e| bitset::is_zero(self.row(e)))
     }
+}
+
+/// The argument slices of the live `arity`-ary facts of `rel` in `d`.
+fn live_facts(d: &FactStore, rel: RelId, arity: usize) -> impl Iterator<Item = &[Term]> {
+    d.rel_ids(rel)
+        .iter()
+        .filter(move |&&id| d.is_live(id))
+        .map(move |&id| d.args(FactId(id)))
+        .filter(move |args| args.len() == arity)
+}
+
+/// Certain answers to `rel(x)` from each signature element's verdict
+/// (whether every surviving type makes `rel` true): the asserted `rel`
+/// facts plus the entailed elements — all of them when the instance is
+/// inconsistent.
+fn certain_from(
+    d: &FactStore,
+    rel: RelId,
+    inconsistent: bool,
+    elements: impl Iterator<Item = (Term, bool)>,
+) -> BTreeSet<Term> {
+    let mut out: BTreeSet<Term> = live_facts(d, rel, 1).map(|args| args[0]).collect();
+    out.extend(
+        elements
+            .filter(|&(_, entailed)| inconsistent || entailed)
+            .map(|(t, _)| t),
+    );
+    out
 }
 
 /// The compiled bit-parallel AC-3 kernel of an [`ElementTypeSystem`].
@@ -1546,7 +1636,8 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gomq_core::Fact;
+    use gomq_core::{Fact, Instance};
+    use gomq_datalog::LimitKind;
     use gomq_dl::concept::{Concept, Role};
     use gomq_dl::translate::to_gf;
     use gomq_dl::DlOntology;
@@ -1592,12 +1683,78 @@ mod tests {
         d.insert(Fact::consts(a_rel, &[ca]));
         d.insert(Fact::consts(r, &[ca, cb]));
         d.insert(Fact::consts(b_rel, &[cb]));
-        let certain_c = sys.certain_unary(&d, c_rel);
+        let certain_c = sys.certain_unary(d.store(), c_rel);
         assert!(certain_c.contains(&Term::Const(cb)));
         assert!(!certain_c.contains(&Term::Const(ca)));
         // A is certain exactly at a.
-        let certain_a = sys.certain_unary(&d, a_rel);
+        let certain_a = sys.certain_unary(d.store(), a_rel);
         assert_eq!(certain_a.len(), 1);
+    }
+
+    #[test]
+    fn kernel_budget_counts_passes_and_eliminations() {
+        let mut v = Vocab::new();
+        let o = simple(&mut v);
+        let sys = ElementTypeSystem::build(&o, &v).expect("supported");
+        let d = gomq_core::parse::parse_instance("A(a)\nR(a,b)\nB(b)\nR(b,c)", &mut v).unwrap();
+        let c_rel = v.rel("C", 1);
+        let (answers, stats) = sys
+            .certain_unary_budgeted(d.store(), c_rel, &Budget::UNLIMITED)
+            .unwrap();
+        assert_eq!(answers, sys.certain_unary(d.store(), c_rel));
+        // No counting: one pass, the worklist drain. Every cleared bit is
+        // one elimination.
+        assert_eq!(stats.rounds, 1);
+        let it = sys.instance_types(d.store());
+        let surviving: usize = it.surviving.values().map(BTreeSet::len).sum();
+        assert_eq!(stats.eliminated, 3 * sys.num_types() - surviving);
+        assert!(stats.eliminated > 0);
+        let limited = |max_rounds, max_derived| Budget {
+            max_rounds,
+            max_derived,
+            deadline: None,
+        };
+        let exact = limited(Some(stats.rounds), Some(stats.eliminated));
+        assert!(sys.certain_unary_budgeted(d.store(), c_rel, &exact).is_ok());
+        let e = sys
+            .certain_unary_budgeted(d.store(), c_rel, &limited(Some(0), None))
+            .unwrap_err();
+        assert_eq!((e.limit, e.rounds), (LimitKind::Rounds, 1));
+        let e = sys
+            .certain_unary_budgeted(d.store(), c_rel, &limited(None, Some(stats.eliminated - 1)))
+            .unwrap_err();
+        assert_eq!((e.limit, e.derived), (LimitKind::Derived, stats.eliminated));
+        let expired = Budget {
+            deadline: Some(Instant::now()),
+            ..Budget::UNLIMITED
+        };
+        let e = sys
+            .certain_unary_budgeted(d.store(), c_rel, &expired)
+            .unwrap_err();
+        assert_eq!(e.limit, LimitKind::Deadline);
+    }
+
+    #[test]
+    fn kernel_skips_dead_facts() {
+        let mut v = Vocab::new();
+        let o = simple(&mut v);
+        let sys = ElementTypeSystem::build(&o, &v).expect("supported");
+        let c_rel = v.rel("C", 1);
+        let full = gomq_core::parse::parse_instance("R(a,b)\nB(b)\nA(c)", &mut v).unwrap();
+        let mut d = gomq_core::IndexedInstance::from_interpretation(&full);
+        let cb = Term::Const(v.constant("b"));
+        assert!(sys.certain_unary(d.store(), c_rel).contains(&cb));
+        // Retract B(b) the way a maintained store does: support 0, the
+        // fact kept in place. It then no longer constrains b.
+        let b_fact = d.store().lookup(v.rel("B", 1), &[cb]).unwrap();
+        d.set_support(b_fact, 0);
+        let without = gomq_core::parse::parse_instance("R(a,b)\nA(c)", &mut v).unwrap();
+        assert_eq!(
+            sys.certain_unary(d.store(), c_rel),
+            sys.certain_unary(without.store(), c_rel)
+        );
+        assert!(!sys.certain_unary(d.store(), c_rel).contains(&cb));
+        assert_eq!(sys.instance_types(d.store()).stats.elements, 3);
     }
 
     #[test]
@@ -1618,7 +1775,7 @@ mod tests {
         let cb = v.constant("b");
         let mut d = Instance::new();
         d.insert(Fact::consts(rr, &[ca, cb]));
-        let certain_b = sys.certain_unary(&d, b_rel);
+        let certain_b = sys.certain_unary(d.store(), b_rel);
         assert!(certain_b.contains(&Term::Const(cb)));
         assert!(!certain_b.contains(&Term::Const(ca)));
     }
@@ -1637,9 +1794,9 @@ mod tests {
         let ca = v.constant("a");
         let mut d = Instance::new();
         d.insert(Fact::consts(a_rel, &[ca]));
-        let it = sys.instance_types(&d);
+        let it = sys.instance_types(d.store());
         assert!(it.inconsistent);
-        assert_eq!(sys.certain_unary(&d, b_rel).len(), 1);
+        assert_eq!(sys.certain_unary(d.store(), b_rel).len(), 1);
     }
 
     #[test]
@@ -1662,14 +1819,14 @@ mod tests {
         for &f in &fingers[..2] {
             d2.insert(Fact::consts(hf_rel, &[h, f]));
         }
-        assert!(!sys.instance_types(&d2).inconsistent);
+        assert!(!sys.instance_types(d2.store()).inconsistent);
         // Three explicit fingers exceed (≤ 2): inconsistent.
         let mut d3 = Instance::new();
         d3.insert(Fact::consts(hand, &[h]));
         for &f in &fingers {
             d3.insert(Fact::consts(hf_rel, &[h, f]));
         }
-        assert!(sys.instance_types(&d3).inconsistent);
+        assert!(sys.instance_types(d3.store()).inconsistent);
         // Cross-check both with the model-theoretic engine.
         let engine = gomq_reasoning::CertainEngine::new(2);
         assert!(engine.consistency(&o, &d2, &mut v).is_consistent());
@@ -1691,14 +1848,14 @@ mod tests {
         let c = v.constant("fc");
         let mut ok = Instance::new();
         ok.insert(Fact::consts(f_rel, &[a, b]));
-        assert!(!sys.instance_types(&ok).inconsistent);
+        assert!(!sys.instance_types(ok.store()).inconsistent);
         let mut bad = ok.clone();
         bad.insert(Fact::consts(f_rel, &[a, c]));
-        assert!(sys.instance_types(&bad).inconsistent);
+        assert!(sys.instance_types(bad.store()).inconsistent);
         let mut loopy = ok.clone();
         loopy.insert(Fact::consts(f_rel, &[a, a]));
         assert!(
-            sys.instance_types(&loopy).inconsistent,
+            sys.instance_types(loopy.store()).inconsistent,
             "loop + proper edge = two successors"
         );
         // Engine agreement.
@@ -1721,11 +1878,11 @@ mod tests {
         let mut bad = Instance::new();
         bad.insert(Fact::consts(f_rel, &[a, c]));
         bad.insert(Fact::consts(f_rel, &[b, c]));
-        assert!(sys.instance_types(&bad).inconsistent);
+        assert!(sys.instance_types(bad.store()).inconsistent);
         let mut ok = Instance::new();
         ok.insert(Fact::consts(f_rel, &[a, b]));
         ok.insert(Fact::consts(f_rel, &[a, c]));
-        assert!(!sys.instance_types(&ok).inconsistent);
+        assert!(!sys.instance_types(ok.store()).inconsistent);
     }
 
     #[test]
@@ -1748,7 +1905,7 @@ mod tests {
         let p = v.constant("proj");
         let mut d = Instance::new();
         d.insert(Fact::consts(manages, &[a, p]));
-        let certain = sys.certain_unary(&d, project);
+        let certain = sys.certain_unary(d.store(), project);
         assert!(certain.contains(&Term::Const(p)));
         // Engine agreement.
         let engine = gomq_reasoning::CertainEngine::new(1);
@@ -1781,7 +1938,7 @@ mod tests {
         let b = v.constant("mum");
         let mut d = Instance::new();
         d.insert(Fact::consts(child_of, &[a, b]));
-        let certain = sys.certain_unary(&d, person);
+        let certain = sys.certain_unary(d.store(), person);
         assert!(
             certain.contains(&Term::Const(a)),
             "childOf(a,b) ⇒ parentOf(b,a) ⇒ Person(a)"
@@ -1807,12 +1964,12 @@ mod tests {
         let mut bad = Instance::new();
         bad.insert(Fact::consts(manages, &[a, p1]));
         bad.insert(Fact::consts(works, &[a, p2]));
-        assert!(sys.instance_types(&bad).inconsistent);
+        assert!(sys.instance_types(bad.store()).inconsistent);
         // The same target twice is fine (witness counting is per element).
         let mut ok = Instance::new();
         ok.insert(Fact::consts(manages, &[a, p1]));
         ok.insert(Fact::consts(works, &[a, p1]));
-        assert!(!sys.instance_types(&ok).inconsistent);
+        assert!(!sys.instance_types(ok.store()).inconsistent);
         // Engine agreement requires translating func into the GF ontology,
         // which `to_gf` already did.
         let engine = gomq_reasoning::CertainEngine::new(1);
@@ -1844,14 +2001,14 @@ mod tests {
         d.insert(Fact::consts(r_rel, &[ca, c2]));
         d.insert(Fact::consts(b_rel, &[c1]));
         d.insert(Fact::consts(b_rel, &[c2]));
-        assert!(sys.instance_types(&d).inconsistent);
+        assert!(sys.instance_types(d.store()).inconsistent);
         // Two successors, only one in B: fine.
         let mut d_ok = Instance::new();
         d_ok.insert(Fact::consts(a_rel, &[ca]));
         d_ok.insert(Fact::consts(r_rel, &[ca, c1]));
         d_ok.insert(Fact::consts(r_rel, &[ca, c2]));
         d_ok.insert(Fact::consts(b_rel, &[c1]));
-        assert!(!sys.instance_types(&d_ok).inconsistent);
+        assert!(!sys.instance_types(d_ok.store()).inconsistent);
         // In the consistent case, ¬B is NOT derivable at c2 as a fact, but
         // B is not certain there either (the model may or may not add it)…
         // unless it would overflow: with (≤ 1 R B), a model adding B(c2)
@@ -1859,7 +2016,7 @@ mod tests {
         // certain and D + B(c2) is inconsistent.
         let mut d_forced = d_ok.clone();
         d_forced.insert(Fact::consts(b_rel, &[c2]));
-        assert!(sys.instance_types(&d_forced).inconsistent);
+        assert!(sys.instance_types(d_forced.store()).inconsistent);
         let engine = gomq_reasoning::CertainEngine::new(2);
         assert!(engine.consistency(&o, &d_ok, &mut v).is_consistent());
         assert!(!engine.consistency(&o, &d_forced, &mut v).is_consistent());
@@ -1888,7 +2045,7 @@ mod tests {
         let ca = v.constant("a");
         let mut d = Instance::new();
         d.insert(Fact::consts(a_rel, &[ca]));
-        assert!(sys.instance_types(&d).inconsistent);
+        assert!(sys.instance_types(d.store()).inconsistent);
     }
 
     #[test]
@@ -1916,7 +2073,7 @@ mod tests {
         let mut d = Instance::new();
         d.insert(Fact::consts(r, &[ca, cb]));
         // a is a predecessor of b, so C is certain at a.
-        let certain_c = sys.certain_unary(&d, c_rel);
+        let certain_c = sys.certain_unary(d.store(), c_rel);
         assert!(certain_c.contains(&Term::Const(ca)));
     }
 
@@ -1941,7 +2098,7 @@ mod tests {
         let mut d = Instance::new();
         d.insert(Fact::consts(a_rel, &[ca]));
         d.insert(Fact::consts(rr, &[ca, ca]));
-        let certain_b = sys.certain_unary(&d, b_rel);
+        let certain_b = sys.certain_unary(d.store(), b_rel);
         assert!(
             certain_b.contains(&Term::Const(ca)),
             "the self-loop forces B at a"
@@ -1994,12 +2151,12 @@ mod tests {
         let mut d1 = Instance::new();
         d1.insert(Fact::consts(a_rel, &[ca]));
         d1.insert(Fact::consts(r, &[ca, ca]));
-        assert!(!sys.instance_types(&d1).inconsistent);
+        assert!(!sys.instance_types(d1.store()).inconsistent);
         // …a proper edge is a contradiction.
         let mut d2 = Instance::new();
         d2.insert(Fact::consts(a_rel, &[ca]));
         d2.insert(Fact::consts(r, &[ca, cb]));
-        assert!(sys.instance_types(&d2).inconsistent);
+        assert!(sys.instance_types(d2.store()).inconsistent);
         // Cross-check both verdicts with the engine.
         let engine = gomq_reasoning::CertainEngine::new(1);
         assert!(engine.consistency(&o, &d1, &mut v).is_consistent());
@@ -2033,7 +2190,7 @@ mod tests {
         let ca = v.constant("a");
         let mut d = Instance::new();
         d.insert(Fact::consts(a_rel, &[ca]));
-        assert!(!sys.instance_types(&d).inconsistent);
-        assert_eq!(sys.certain_unary(&d, a_rel).len(), 1);
+        assert!(!sys.instance_types(d.store()).inconsistent);
+        assert_eq!(sys.certain_unary(d.store(), a_rel).len(), 1);
     }
 }

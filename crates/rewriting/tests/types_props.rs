@@ -138,14 +138,14 @@ proptest! {
             // Outside the fragment (shouldn't happen for this pool).
             return Ok(());
         };
-        let fast = sys.instance_types(&d);
-        let slow = sys.instance_types_reference(&d);
+        let fast = sys.instance_types(d.store());
+        let slow = sys.instance_types_reference(d.store());
         prop_assert_eq!(fast.inconsistent, slow.inconsistent, "inconsistency verdict");
         prop_assert_eq!(&fast.surviving, &slow.surviving, "surviving type sets");
         for &rel in &names {
             prop_assert_eq!(
-                sys.certain_unary(&d, rel),
-                sys.certain_unary_reference(&d, rel),
+                sys.certain_unary(d.store(), rel),
+                sys.certain_unary_reference(d.store(), rel),
                 "certain answers for {:?}", rel
             );
         }

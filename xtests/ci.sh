@@ -49,7 +49,10 @@ cargo test -q --release -p gomq-engine --test cert_props
 echo "==> cargo test -q --release -p gomq-engine --features chaos --test cert_props (chaos build)"
 cargo test -q --release -p gomq-engine --features chaos --test cert_props
 
-echo "==> cargo test -q --release -p gomq-engine --test sql_crosscheck (native = SQL)"
+echo "==> cargo test -q --release -p gomq-engine --test engine_props (served answers = Program::eval)"
+cargo test -q --release -p gomq-engine --test engine_props
+
+echo "==> cargo test -q --release -p gomq-engine --test sql_crosscheck (served answers = SQL)"
 cargo test -q --release -p gomq-engine --test sql_crosscheck
 
 echo "==> cargo test -q -p gomq-xtests --test chaos (fixed-seed chaos smoke)"
@@ -71,12 +74,17 @@ echo "==> E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql (smoke)"
 E17_TINY=1 cargo bench -p gomq-bench --bench e17_sql
 
 # Serve smoke: the cumulative engine counters are pulled with
-# {"op": "stats"}, never pushed on query replies.
+# {"op": "stats"}, never pushed on query replies. An inconsistent ABox
+# makes the query certain on the ontology's signature domain only, so
+# the out-of-signature Foo(z) adds no answer.
 echo "==> gomq-serve query + stats smoke (release)"
 serve_out="$(printf '%s\n' '{"ontology": "A sub B", "query": "B", "abox": "A(ada)"}' \
-    '{"op": "stats"}' | target/release/gomq-serve 2>/dev/null)"
+    '{"op": "stats"}' \
+    '{"ontology": "A sub not B", "query": "A", "abox": "A(x)\nB(x)\nFoo(z)"}' \
+    | target/release/gomq-serve 2>/dev/null)"
 query_reply="$(printf '%s\n' "$serve_out" | sed -n 1p)"
 stats_reply="$(printf '%s\n' "$serve_out" | sed -n 2p)"
+inconsistent_reply="$(printf '%s\n' "$serve_out" | sed -n 3p)"
 printf '%s\n' "$query_reply" | grep -qF '"answers": [["ada"]]' || {
     echo "serve smoke: query reply lacks the answer: $query_reply" >&2
     exit 1
@@ -87,6 +95,10 @@ if printf '%s\n' "$query_reply" | grep -qF '"engine"'; then
 fi
 printf '%s\n' "$stats_reply" | grep -qF '"cache_misses": 1' || {
     echo "serve smoke: stats reply lacks \"cache_misses\": 1: $stats_reply" >&2
+    exit 1
+}
+printf '%s\n' "$inconsistent_reply" | grep -qF '"answers": [["x"]]' || {
+    echo "serve smoke: inconsistent ABox must answer x alone: $inconsistent_reply" >&2
     exit 1
 }
 

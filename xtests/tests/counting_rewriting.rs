@@ -30,7 +30,7 @@ fn o1_is_type_rewritable_and_routes_agree() {
         let d = hand_instance(n, handn, hfn, &mut v2);
         let from_program: std::collections::BTreeSet<Term> =
             programn.eval(&d).into_iter().map(|t| t[0]).collect();
-        let from_types = sysn.certain_unary(&d, thumbn);
+        let from_types = sysn.certain_unary(d.store(), thumbn);
         assert_eq!(from_types, from_program, "n = {n}");
         let mut b = CqBuilder::new();
         let x = b.var("x");
@@ -65,7 +65,7 @@ fn counting_certainty_at_the_boundary() {
     let sys = ElementTypeSystem::build(&union, &v).expect("supported");
     let d = hand_instance(2, hand, hf, &mut v);
     let engine = CertainEngine::new(2);
-    let from_types = sys.certain_unary(&d, thumb);
+    let from_types = sys.certain_unary(d.store(), thumb);
     let mut b = CqBuilder::new();
     let x = b.var("x");
     b.atom(thumb, &[x]);
@@ -116,11 +116,11 @@ fn functional_role_pipeline() {
     let mut ok = gomq_core::Instance::new();
     ok.insert(Fact::consts(person, &[alice]));
     ok.insert(Fact::consts(hm, &[alice, m1]));
-    assert!(!sys.instance_types(&ok).inconsistent);
+    assert!(!sys.instance_types(ok.store()).inconsistent);
     assert!(engine.consistency(&o, &ok, &mut v).is_consistent());
     // The named mother of a Person must be a Person (the ∃-witness cannot
     // be anyone else under functionality): Person(m1) is certain.
-    let from_types = sys.certain_unary(&ok, person);
+    let from_types = sys.certain_unary(ok.store(), person);
     assert!(from_types.contains(&Term::Const(m1)));
     let mut b = CqBuilder::new();
     let x = b.var("x");
@@ -131,6 +131,6 @@ fn functional_role_pipeline() {
         .is_certain());
     let mut bad = ok.clone();
     bad.insert(Fact::consts(hm, &[alice, m2]));
-    assert!(sys.instance_types(&bad).inconsistent);
+    assert!(sys.instance_types(bad.store()).inconsistent);
     assert!(!engine.consistency(&o, &bad, &mut v).is_consistent());
 }

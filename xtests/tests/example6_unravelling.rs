@@ -120,12 +120,12 @@ fn counting_entailment_differs_between_unravellings() {
     }
     let sys = ElementTypeSystem::build(&onto, &v).expect("counting supported");
     // On D itself: nothing certain.
-    assert!(sys.certain_unary(&d, a_rel).is_empty());
+    assert!(sys.certain_unary(d.store(), a_rel).is_empty());
     // uGF-unravelling: some copy of the root accumulates ≥ 4 successors,
     // so A becomes certain there — the unsoundness the paper fixes with
     // condition (c′).
     let ugf = unravel(&d, UnravelKind::Ugf, 4, &mut v);
-    let certain_ugf = sys.certain_unary(&ugf.interp, a_rel);
+    let certain_ugf = sys.certain_unary(ugf.interp.store(), a_rel);
     assert!(
         !certain_ugf.is_empty(),
         "the uGF-unravelling entails A at an inflated copy"
@@ -134,7 +134,7 @@ fn counting_entailment_differs_between_unravellings() {
     assert!(certain_ugf.iter().all(|t| ugf.up[t] == root_term));
     // uGC₂-unravelling: counts preserved, nothing certain.
     let ugc = unravel(&d, UnravelKind::Ugc2, 4, &mut v);
-    assert!(sys.certain_unary(&ugc.interp, a_rel).is_empty());
+    assert!(sys.certain_unary(ugc.interp.store(), a_rel).is_empty());
 }
 
 #[test]

@@ -124,7 +124,7 @@ proptest! {
         };
         let engine = CertainEngine::new(2);
         for &rel in &names {
-            let from_types = sys.certain_unary(&d, rel);
+            let from_types = sys.certain_unary(d.store(), rel);
             let mut b = CqBuilder::new();
             let x = b.var("x");
             b.atom(rel, &[x]);

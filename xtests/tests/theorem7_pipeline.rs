@@ -81,7 +81,7 @@ D sub not C
         // (it is Horn except for the ¬C part, which cannot introduce
         // disjunctions): check consistency first.
         let consistent = engine.consistency(&onto, &d, &mut v).is_consistent();
-        let from_types = sys.certain_unary(&d, c_rel);
+        let from_types = sys.certain_unary(d.store(), c_rel);
         let from_program: std::collections::BTreeSet<Term> =
             program.eval(&d).into_iter().map(|t| t[0]).collect();
         assert_eq!(from_types, from_program, "seed {seed}");
@@ -128,7 +128,9 @@ fn inconsistent_instances_are_all_answers_in_both_routes() {
     let engine = CertainEngine::new(1);
     assert!(!engine.consistency(&onto, &d, &mut v).is_consistent());
     // Both routes report B certain at c (ex falso).
-    assert!(sys.certain_unary(&d, b_rel).contains(&Term::Const(c)));
+    assert!(sys
+        .certain_unary(d.store(), b_rel)
+        .contains(&Term::Const(c)));
     let program = emit_datalog(&sys, b_rel, &mut v);
     assert!(program.holds(&d, &[Term::Const(c)]));
 }
